@@ -89,16 +89,8 @@ def _check_frame_budget(frame, max_frame):
 def _cmd_fuse(args):
     scenario = load_scenario(args.scenario)
     _check_frame_budget(scenario.frame, min(args.max_frame, 6))
-    if args.s3:
-        # fold the flag into task params by rebuilding tasks
-        from .scenario import Scenario, Task
-
-        tasks = tuple(
-            Task(t.kind, t.rule, tuple(sorted(dict(t.params, s3=args.s3).items())), t.decide)
-            for t in scenario.tasks
-        ) or (Task("fuse", None, (("s3", args.s3),), False),)
-        scenario = Scenario(scenario.frame, scenario.model, scenario.sources, tasks)
-    results = run(scenario, rule=args.rule, compare=args.compare, decide=args.decide)
+    results = run(scenario, rule=args.rule, compare=args.compare, decide=args.decide,
+                  s3=args.s3)
     out = _render_json(scenario, results, args.precision) if args.format == "json" \
         else _render_table(scenario, results, args.precision)
     print(out, end="")

@@ -13,7 +13,7 @@ under a model clears its dead parts; two elements are equal under the model
 when their reduced bitsets are equal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateModel,
@@ -25,10 +25,6 @@ from .errors import (
 )
 
 MAX_FRAME_SIZE = 6
-
-# Vectorizing the last enumeration step only pays off for n = 6
-# (7581^2 pair tests); smaller frames stay in pure Python.
-_NUMPY_THRESHOLD = 6
 
 
 def _popcount(x):
@@ -379,10 +375,6 @@ class Model:
 def exclusivity(frame, i, j):
     """Constraint element stating hypotheses i and j cannot overlap."""
     return frame.atom(i) & frame.atom(j)
-
-
-def reduce_under_model(model, x):
-    return model.reduce(x)
 
 
 def canonical_form(model, x):

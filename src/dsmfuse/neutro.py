@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import FrameMismatch, ValidationError, ZeroSum
 from .lattice import Model
 from .mass import SubunitarySet, _MassBase
-from .rules import FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _route
+from .rules import FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join, _route, _walk
 
 _ONE = SubunitarySet.point(1.0)
 
@@ -169,7 +169,23 @@ class TripleMass(_MassBase):
         return "TripleMass({" + inner + "})"
 
 
-def _prepare_triple(sources, rule):
+class _PointTriple(tuple):
+    """(t, i, f) floats that add component by component: the value type
+    triple fusion sums on the shared walk."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _PointTriple((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
+
+
+_ZERO = _PointTriple((0.0, 0.0, 0.0))
+
+
+def _fuse_triples(rule, name, kernel, sources, model, landing, normalize):
+    """Walk the focal pairs with the kernel applied componentwise, drop
+    all-zero sums and normalize the rest unless told not to. The reported
+    conflict is the truth component of the mass counted as conflict."""
     if len(sources) != 2:
         raise ValidationError([f"{rule} combines exactly 2 sources, got {len(sources)}"])
     frame = sources[0].frame
@@ -181,20 +197,23 @@ def _prepare_triple(sources, rule):
         problems = m.validate()
         if problems:
             raise ValidationError([f"source {i + 1}: {p}" for p in problems])
-    return frame
-
-
-def _finish(frame, acc, normalize):
+    model = model or Model.free(frame)
+    if model.frame != frame:
+        raise FrameMismatch("model frame differs from the sources' frame")
+    model.check_not_degenerate()
+    # Exactly two sources, so the kernel always meets two source triples.
+    acc, conflict, _ = _walk(
+        sources, landing(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO
+    )
     out = {}
     for el, (t, i, f) in acc.items():
         s = t + i + f
         if s == 0.0:
             continue
         if normalize:
-            out[el] = NeutrosophicTriple.of(t / s, i / s, f / s)
-        else:
-            out[el] = NeutrosophicTriple.of(t, i, f)
-    return TripleMass(frame, out)
+            t, i, f = t / s, i / s, f / s
+        out[el] = NeutrosophicTriple.of(t, i, f)
+    return FusionReport(name, model, TripleMass(frame, out), conflict[0])
 
 
 def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=True):
@@ -206,24 +225,8 @@ def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=T
     """
     if kind not in TNORMS:
         raise ValidationError([f"unknown N-norm {kind!r}"])
-    frame = _prepare_triple(sources, "nnorm_fusion")
-    model = model or Model.free(frame)
-    if model.frame != frame:
-        raise FrameMismatch("model frame differs from the sources' frame")
-    model.check_not_degenerate()
-    kernel = TNORMS[kind]
-    it_reduced = model.reduce(frame.total_ignorance())
-    acc = {}
-    conflict = 0.0
-    for x, a in sources[0].items():
-        for y, b in sources[1].items():
-            t, i, f = _apply_kernel(kernel, a, b)
-            kind_, key = _route(model, [x, y], s3_target, it_reduced)
-            if kind_ == "transfer":
-                conflict += t
-            old = acc.get(key, (0.0, 0.0, 0.0))
-            acc[key] = (old[0] + t, old[1] + i, old[2] + f)
-    return FusionReport(f"nnorm[{kind}]", model, _finish(frame, acc, normalize), conflict)
+    return _fuse_triples("nnorm_fusion", f"nnorm[{kind}]", TNORMS[kind], sources, model,
+                         lambda m: _route(m, s3_target), normalize)
 
 
 def nconorm_fusion(kind, sources, model=None, normalize=True):
@@ -231,17 +234,5 @@ def nconorm_fusion(kind, sources, model=None, normalize=True):
     the union element, then per-element normalization."""
     if kind not in TCONORMS:
         raise ValidationError([f"unknown N-conorm {kind!r}"])
-    frame = _prepare_triple(sources, "nconorm_fusion")
-    model = model or Model.free(frame)
-    if model.frame != frame:
-        raise FrameMismatch("model frame differs from the sources' frame")
-    model.check_not_degenerate()
-    kernel = TCONORMS[kind]
-    acc = {}
-    for x, a in sources[0].items():
-        for y, b in sources[1].items():
-            t, i, f = _apply_kernel(kernel, a, b)
-            key = model.reduce(x | y)
-            old = acc.get(key, (0.0, 0.0, 0.0))
-            acc[key] = (old[0] + t, old[1] + i, old[2] + f)
-    return FusionReport(f"nconorm[{kind}]", model, _finish(frame, acc, normalize), 0.0)
+    return _fuse_triples("nconorm_fusion", f"nconorm[{kind}]", TCONORMS[kind], sources, model,
+                         _join, normalize)

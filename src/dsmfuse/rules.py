@@ -1,27 +1,39 @@
 """Combination rules for precise and imprecise mass functions.
 
-All conjunctive rules walk the same deterministic stream of focal-element
-tuples (the cartesian product of each source's focal elements in
-(cardinality, bit pattern) order) and differ only in where a tuple's mass
-lands:
+Every rule here, and the triple fusions in neutro, runs on one walk,
+`_walk`. It visits the cartesian product of the sources' focal items,
+each source's items in (cardinality, bit pattern) order, and folds a
+tuple's values left with a kernel: the product, or a T-norm or T-conorm.
+A landing function then maps the tuple's focal elements and value to
+`(key, value, dead)`. `value` is added on `key`; the tuple's value counts
+as conflict when `dead` is true; mass landing on key `None` is dropped
+and handed back to the caller. The rules differ only in their landing
+and in what they do with the sums:
 
-- the classic rule keeps every free-lattice intersection;
-- the transfer rule reroutes mass whose intersection the model forbids,
-  either to the union of the hypotheses involved or, when every component
-  is itself forbidden, to the union of their component hypotheses, falling
-  back to total ignorance;
-- dempster normalizes the forbidden mass away, smets parks it on the empty
-  element, yager parks it on total ignorance;
-- dubois_prade retries the pairwise union and drops mass whose union is
-  also forbidden, leaving a subnormal output with a warning.
+- transfer (`_route`): a live intersection keeps its mass; a forbidden
+  one goes to the union of the hypotheses involved or, when every
+  component is itself forbidden, to the union of their component
+  hypotheses, falling back to total ignorance. On the free lattice
+  nothing is forbidden, which is the classic rule;
+- meet (`_meet`): forbidden intersections are conflict and land nowhere;
+  dempster normalizes them away, smets parks them on the empty element,
+  yager parks them on total ignorance;
+- join (`_join`): each tuple lands on the union of its focal elements;
+- dubois_prade retries the union for a forbidden intersection and drops
+  the mass whose union is forbidden too, leaving a subnormal output with
+  a warning; the degree-weighted rules scale each value by how much the
+  pair overlaps or differs.
 
-The imprecise variants run the identical stream with set-valued products
-and sums, so point-valued inputs reproduce the precise results to the
-bit.
+A value only needs + and the kernel: floats, subunitary sets, and the
+point triples of neutro all qualify. dsm_classic and dsm_hybrid take
+precise or imprecise sources. Sums and products of one-point sets run the
+same float operations in the same order as the precise rules, so point
+sets reproduce the precise results bit for bit.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .errors import (
     DegenerateNormalization,
@@ -60,7 +72,9 @@ class FusionReport:
 
 # --- shared plumbing ---------------------------------------------------------
 
-def _prepare(sources, rule, imprecise=False, exactly=None):
+def _prepare(sources, rule, model=None, imprecise=False, exactly=None):
+    """Check the sources, and the model against their frame. Returns the
+    model (free when none is given) and the warnings."""
     wanted = ImpreciseMass if imprecise else PreciseMass
     if len(sources) < 2:
         raise FewerThanTwoSources(f"{rule} needs at least two sources")
@@ -78,7 +92,11 @@ def _prepare(sources, rule, imprecise=False, exactly=None):
             raise ValidationError([f"source {i + 1}: {p}" for p in problems])
         if imprecise and not is_admissible(m):
             warnings.append(f"source {i + 1} is not admissible; fusing anyway")
-    return frame, warnings
+    if model is None:
+        return Model.free(frame), warnings
+    if model.frame != frame:
+        raise FrameMismatch("model frame differs from the sources' frame")
+    return model, warnings
 
 
 def _focal_items(m):
@@ -87,15 +105,28 @@ def _focal_items(m):
     return [(el, v) for el, v in m.items() if v != 0.0]
 
 
-def _tuple_stream(sources):
-    """Deterministic cartesian product of focal items, with the tuple's
-    combined value folded left so precise and imprecise runs agree."""
+def _walk(sources, land, kernel=mul, zero=0.0):
+    """Sum every focal tuple's value on its landing site.
+
+    Returns (sums per key, conflict, mass dropped on key None). The tuple
+    order and the left fold are fixed, so two rules that land a tuple
+    alike produce the same floats.
+    """
+    acc = {}
+    conflict = lost = zero
     for combo in product(*(_focal_items(m) for m in sources)):
         els = [el for el, _ in combo]
         v = combo[0][1]
         for _, vi in combo[1:]:
-            v = v * vi
-        yield els, v
+            v = kernel(v, vi)
+        key, value, dead = land(els, v)
+        if dead:
+            conflict = conflict + v
+        if key is None:
+            lost = lost + value
+        else:
+            acc[key] = acc.get(key, zero) + value
+    return acc, conflict, lost
 
 
 def _meet_all(els):
@@ -112,201 +143,149 @@ def _join_all(els):
     return x
 
 
-def _zero_like(sources):
-    return SubunitarySet.point(0.0) if isinstance(sources[0], ImpreciseMass) else 0.0
-
-
-def _wrap(sources, frame, acc, allows_empty_focal=False):
-    cls = ImpreciseMass if isinstance(sources[0], ImpreciseMass) else PreciseMass
-    return cls(frame, acc, allows_empty_focal)
-
-
-def _conflict_total(conflict):
-    return conflict.sup if isinstance(conflict, SubunitarySet) else conflict
-
-
-def _route(model, els, s3_target, it_reduced):
-    """Landing site for one tuple: ("alive"|"transfer", reduced element)."""
-    inter = _meet_all(els)
-    reduced = model.reduce(inter)
-    if reduced.bits:
-        return "alive", reduced
-    if inter.bits == 0:
-        # Focal elements keyed by reduced representatives have lost their
-        # dead parts, so the raw meet can bottom out even though the free
-        # meet never does. Rebuild it; the canonical form needs it.
-        inter = _meet_all([upward_closure(e) for e in els])
-    if all(model.is_model_empty(e) for e in els):
-        target = model.reduce(_join_all([component_union(e) for e in els]))
-    elif s3_target == S3_COMPONENTS:
-        target = model.reduce(component_union(inter))
-    else:
-        target = model.reduce(_join_all(els))
-    if not target.bits:
-        target = it_reduced
-    return "transfer", target
-
-
-def _transfer_engine(model, sources, s3_target, value=None):
-    """Conjunctive walk with rerouting of forbidden mass.
-
-    value, when given, replaces the plain product for two-source rules
-    (the T-norm variants); it must accept two mass values.
-    """
-    model.check_not_degenerate()
+def _route(model, s3_target):
+    """Transfer landing: live intersections stay, forbidden ones are
+    conflict rerouted under the model."""
     it_reduced = model.reduce(model.frame.total_ignorance())
-    zero = _zero_like(sources)
-    acc = {}
-    conflict = zero
-    warnings = []
-    for els, v in _tuple_stream(sources):
-        if value is not None:
-            v = value(els)
-        kind, key = _route(model, els, s3_target, it_reduced)
-        if kind == "transfer":
-            conflict = conflict + v
-        acc[key] = acc.get(key, zero) + v
-    return acc, conflict, warnings
 
-
-def _conjunctive_split(model, sources):
-    """Alive mass per reduced element plus the total forbidden mass."""
-    zero = _zero_like(sources)
-    alive = {}
-    dead = zero
-    for els, v in _tuple_stream(sources):
-        reduced = model.reduce(_meet_all(els))
+    def land(els, v):
+        inter = _meet_all(els)
+        reduced = model.reduce(inter)
         if reduced.bits:
-            alive[reduced] = alive.get(reduced, zero) + v
+            return reduced, v, False
+        if inter.bits == 0:
+            # Focal elements keyed by reduced representatives have lost their
+            # dead parts, so the raw meet can bottom out even though the free
+            # meet never does. Rebuild it; the canonical form needs it.
+            inter = _meet_all([upward_closure(e) for e in els])
+        if all(model.is_model_empty(e) for e in els):
+            target = model.reduce(_join_all([component_union(e) for e in els]))
+        elif s3_target == S3_COMPONENTS:
+            target = model.reduce(component_union(inter))
         else:
-            dead = dead + v
-    return alive, dead
+            target = model.reduce(_join_all(els))
+        return (target if target.bits else it_reduced), v, True
+
+    return land
+
+
+def _meet(model):
+    """Meet landing: forbidden intersections are conflict and land nowhere."""
+    def land(els, v):
+        key = model.reduce(_meet_all(els))
+        if key.bits:
+            return key, v, False
+        return None, v, True
+
+    return land
+
+
+def _join(model):
+    """Join landing: every tuple lands on the union of its focal elements."""
+    return lambda els, v: (model.reduce(_join_all(els)), v, False)
 
 
 # --- classic and transfer rules ----------------------------------------------
 
 def dsm_classic(sources):
-    """Conjunctive consensus on the free lattice; never any conflict."""
-    frame, warnings = _prepare(sources, "dsm_classic")
-    model = Model.free(frame)
-    acc, conflict, extra = _transfer_engine(model, sources, S3_COMPONENTS)
-    return FusionReport("dsm_classic", model, _wrap(sources, frame, acc), conflict,
-                        tuple(warnings + extra))
+    """Conjunctive consensus on the free lattice; never any conflict.
+    Sources are all precise or all imprecise."""
+    return _dsm_rule("dsm_classic", None, sources, S3_COMPONENTS)
 
 
 def dsm_hybrid(model, sources, s3_target=S3_COMPONENTS):
-    """Conjunctive consensus with forbidden mass rerouted under the model."""
-    frame, warnings = _prepare(sources, "dsm_hybrid")
-    _check_model(model, frame)
-    acc, conflict, extra = _transfer_engine(model, sources, s3_target)
-    return FusionReport("dsm_hybrid", model, _wrap(sources, frame, acc), conflict,
-                        tuple(warnings + extra))
+    """Conjunctive consensus with forbidden mass rerouted under the model.
+    Sources are all precise or all imprecise."""
+    return _dsm_rule("dsm_hybrid", model, sources, s3_target)
 
 
-def dsm_classic_imprecise(sources):
-    frame, warnings = _prepare(sources, "dsm_classic_imprecise", imprecise=True)
-    model = Model.free(frame)
-    acc, conflict, extra = _transfer_engine(model, sources, S3_COMPONENTS)
-    return FusionReport("dsm_classic_imprecise", model, _wrap(sources, frame, acc), conflict,
-                        tuple(warnings + extra))
+# The imprecise spellings name the same rules; reports on imprecise
+# sources carry them.
+dsm_classic_imprecise = dsm_classic
+dsm_hybrid_imprecise = dsm_hybrid
 
 
-def dsm_hybrid_imprecise(model, sources, s3_target=S3_COMPONENTS):
-    frame, warnings = _prepare(sources, "dsm_hybrid_imprecise", imprecise=True)
-    _check_model(model, frame)
-    acc, conflict, extra = _transfer_engine(model, sources, s3_target)
-    return FusionReport("dsm_hybrid_imprecise", model, _wrap(sources, frame, acc), conflict,
-                        tuple(warnings + extra))
-
-
-def _check_model(model, frame):
-    if model.frame != frame:
-        raise FrameMismatch("model frame differs from the sources' frame")
+def _dsm_rule(rule, model, sources, s3_target):
+    imprecise = bool(sources) and isinstance(sources[0], ImpreciseMass)
+    if imprecise:
+        rule += "_imprecise"
+    model, warnings = _prepare(sources, rule, model, imprecise)
+    model.check_not_degenerate()
+    zero = SubunitarySet.point(0.0) if imprecise else 0.0
+    acc, conflict, _ = _walk(sources, _route(model, s3_target), zero=zero)
+    mass = (ImpreciseMass if imprecise else PreciseMass)(model.frame, acc)
+    return FusionReport(rule, model, mass, conflict, tuple(warnings))
 
 
 def dempster(model, sources):
     """Conjunctive consensus normalized by the non-conflicting mass."""
-    frame, warnings = _prepare(sources, "dempster")
-    _check_model(model, frame)
+    model, warnings = _prepare(sources, "dempster", model)
     model.check_not_degenerate()
-    alive, dead = _conjunctive_split(model, sources)
+    alive, dead, _ = _walk(sources, _meet(model))
     if 1.0 - dead <= _NEAR_ZERO:
         raise TotalConflict(f"sources are fully conflicting (k12={dead})")
     scale = 1.0 - dead
     acc = {el: v / scale for el, v in alive.items()}
-    return FusionReport("dempster", model, _wrap(sources, frame, acc), dead, tuple(warnings))
+    return FusionReport("dempster", model, PreciseMass(model.frame, acc), dead, tuple(warnings))
 
 
 def smets(model, sources):
     """Conjunctive consensus with the conflicting mass kept on the empty
     element (open-world reading)."""
-    frame, warnings = _prepare(sources, "smets")
-    _check_model(model, frame)
+    model, warnings = _prepare(sources, "smets", model)
     model.check_not_degenerate()
-    alive, dead = _conjunctive_split(model, sources)
+    alive, dead, _ = _walk(sources, _meet(model))
+    empty = model.frame.empty()
     if dead > 0.0:
-        alive[frame.empty()] = alive.get(frame.empty(), 0.0) + dead
-    return FusionReport("smets", model, _wrap(sources, frame, alive, allows_empty_focal=True),
+        alive[empty] = alive.get(empty, 0.0) + dead
+    return FusionReport("smets", model, PreciseMass(model.frame, alive, allows_empty_focal=True),
                         dead, tuple(warnings))
 
 
 def yager(model, sources):
     """Conjunctive consensus with the conflicting mass moved to total
     ignorance."""
-    frame, warnings = _prepare(sources, "yager")
-    _check_model(model, frame)
+    model, warnings = _prepare(sources, "yager", model)
     model.check_not_degenerate()
-    alive, dead = _conjunctive_split(model, sources)
+    alive, dead, _ = _walk(sources, _meet(model))
     if dead > 0.0:
-        it = model.reduce(frame.total_ignorance())
+        it = model.reduce(model.frame.total_ignorance())
         alive[it] = alive.get(it, 0.0) + dead
-    return FusionReport("yager", model, _wrap(sources, frame, alive), dead, tuple(warnings))
+    return FusionReport("yager", model, PreciseMass(model.frame, alive), dead, tuple(warnings))
 
 
 def dubois_prade(model, sources):
     """Pairwise rule: keep live intersections, retry the union for
     forbidden ones, drop mass whose union is forbidden too (subnormal
     output plus a warning, no renormalization)."""
-    frame, warnings = _prepare(sources, "dubois_prade", exactly=2)
-    _check_model(model, frame)
+    model, warnings = _prepare(sources, "dubois_prade", model, exactly=2)
     model.check_not_degenerate()
-    acc = {}
-    dead = 0.0
-    lost = 0.0
-    for els, v in _tuple_stream(sources):
-        reduced = model.reduce(_meet_all(els))
-        if reduced.bits:
-            acc[reduced] = acc.get(reduced, 0.0) + v
-            continue
-        dead += v
-        union = model.reduce(_join_all(els))
-        if union.bits:
-            acc[union] = acc.get(union, 0.0) + v
-        else:
-            lost += v
-    out_warnings = list(warnings)
+
+    def land(els, v):
+        key = model.reduce(_meet_all(els))
+        if key.bits:
+            return key, v, False
+        key = model.reduce(_join_all(els))
+        return (key if key.bits else None), v, True
+
+    acc, dead, lost = _walk(sources, land)
     if lost > 0.0:
-        out_warnings.append(
+        warnings.append(
             f"mass {lost:.6f} fell on forbidden unions; output is subnormal"
             f" (total {1.0 - lost:.6f})"
         )
-    return FusionReport("dubois_prade", model, _wrap(sources, frame, acc), dead,
-                        tuple(out_warnings))
+    return FusionReport("dubois_prade", model, PreciseMass(model.frame, acc), dead,
+                        tuple(warnings))
 
 
 def disjunctive(sources, model=None):
     """Union consensus: each tuple's mass lands on the join of its focal
     elements."""
-    frame, warnings = _prepare(sources, "disjunctive")
-    if model is None:
-        model = Model.free(frame)
-    _check_model(model, frame)
+    model, warnings = _prepare(sources, "disjunctive", model)
     model.check_not_degenerate()
-    acc = {}
-    for els, v in _tuple_stream(sources):
-        key = model.reduce(_join_all(els))
-        acc[key] = acc.get(key, 0.0) + v
-    return FusionReport("disjunctive", model, _wrap(sources, frame, acc), 0.0, tuple(warnings))
+    acc, _, _ = _walk(sources, _join(model))
+    return FusionReport("disjunctive", model, PreciseMass(model.frame, acc), 0.0,
+                        tuple(warnings))
 
 
 # --- similarity degrees --------------------------------------------------------
@@ -351,73 +330,61 @@ def _normalize_acc(acc, rule):
 def dsmc_improved(sources, model=None):
     """Classic conjunctive rule with each product weighted by how much the
     pair actually overlaps, renormalized at the end."""
-    frame, warnings = _prepare(sources, "dsmc_improved", exactly=2)
-    if model is None:
-        model = Model.free(frame)
-    _check_model(model, frame)
-    acc = {}
-    conflict = 0.0
-    for (x, y), v in _pairs(sources):
+    model, warnings = _prepare(sources, "dsmc_improved", model, exactly=2)
+
+    def land(els, v):
+        x, y = els
         reduced = model.reduce(x & y)
         if not reduced.bits:
             # Weight 0 except for the all-forbidden corner; either way the
             # classic-with-degrees rule keeps no mass on forbidden elements.
-            conflict += v
-            continue
-        w = degree_of_intersection(model, x, y)
-        if w:
-            acc[reduced] = acc.get(reduced, 0.0) + w * v
+            return None, v, True
+        return reduced, degree_of_intersection(model, x, y) * v, False
+
+    acc, conflict, _ = _walk(sources, land)
     acc, _ = _normalize_acc(acc, "dsmc_improved")
-    return FusionReport("dsmc_improved", model, PreciseMass(frame, acc), conflict,
+    return FusionReport("dsmc_improved", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
 
 
 def disjunctive_improved(sources, model=None):
     """Union rule weighted by how much the pair differs, renormalized."""
-    frame, warnings = _prepare(sources, "disjunctive_improved", exactly=2)
-    if model is None:
-        model = Model.free(frame)
-    _check_model(model, frame)
-    acc = {}
-    for (x, y), v in _pairs(sources):
+    model, warnings = _prepare(sources, "disjunctive_improved", model, exactly=2)
+
+    def land(els, v):
+        x, y = els
         w = degree_of_union(model, x, y)
-        if w:
-            key = model.reduce(x | y)
-            acc[key] = acc.get(key, 0.0) + w * v
+        # pairs that do not differ under the model weigh 0 and add no element
+        return (model.reduce(x | y) if w else None), w * v, False
+
+    acc, _, _ = _walk(sources, land)
     acc, _ = _normalize_acc(acc, "disjunctive_improved")
-    return FusionReport("disjunctive_improved", model, PreciseMass(frame, acc), 0.0,
+    return FusionReport("disjunctive_improved", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))
 
 
 def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
     """Transfer rule with overlap-weighted live mass and difference-weighted
     rerouted mass; the all-forbidden transfer keeps full weight."""
-    frame, warnings = _prepare(sources, "dsmh_improved", exactly=2)
-    _check_model(model, frame)
+    model, warnings = _prepare(sources, "dsmh_improved", model, exactly=2)
     model.check_not_degenerate()
-    it_reduced = model.reduce(model.frame.total_ignorance())
-    acc = {}
-    conflict = 0.0
-    for (x, y), v in _pairs(sources):
-        kind, key = _route(model, [x, y], s3_target, it_reduced)
-        if kind == "alive":
+    route = _route(model, s3_target)
+
+    def land(els, v):
+        x, y = els
+        key, _, dead = route(els, v)
+        if not dead:
             w = degree_of_intersection(model, x, y)
         elif model.is_model_empty(x) and model.is_model_empty(y):
-            conflict += v
             w = 1.0
         else:
-            conflict += v
             w = degree_of_union(model, x, y)
-        if w:
-            acc[key] = acc.get(key, 0.0) + w * v
+        return key, w * v, dead
+
+    acc, conflict, _ = _walk(sources, land)
     acc, _ = _normalize_acc(acc, "dsmh_improved")
-    return FusionReport("dsmh_improved", model, PreciseMass(frame, acc), conflict,
+    return FusionReport("dsmh_improved", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
-
-
-def _pairs(sources):
-    for els, v in _tuple_stream(sources):
-        yield (els[0], els[1]), v
 
 
 # --- T-norm / T-conorm substitutes ---------------------------------------------
@@ -444,23 +411,13 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
     """
     if norm not in TNORMS:
         raise ValidationError([f"unknown T-norm {norm!r}"])
-    frame, warnings = _prepare(sources, "tnorm", exactly=2)
-    if model is None:
-        model = Model.free(frame)
-    _check_model(model, frame)
-    fn = TNORMS[norm]
-    m1, m2 = sources
-    value = {}
-    for (x, vx) in _focal_items(m1):
-        for (y, vy) in _focal_items(m2):
-            value[(x.bits, y.bits)] = fn(vx, vy)
-    acc, conflict, extra = _transfer_engine(
-        model, sources, s3_target, value=lambda els: value[(els[0].bits, els[1].bits)]
-    )
+    model, warnings = _prepare(sources, "tnorm", model, exactly=2)
+    model.check_not_degenerate()
+    acc, conflict, _ = _walk(sources, _route(model, s3_target), TNORMS[norm])
     if norm != "algebraic":
         acc, _ = _normalize_acc(acc, f"tnorm[{norm}]")
-    return FusionReport(f"tnorm[{norm}]", model, PreciseMass(frame, acc), conflict,
-                        tuple(warnings + extra))
+    return FusionReport(f"tnorm[{norm}]", model, PreciseMass(model.frame, acc), conflict,
+                        tuple(warnings))
 
 
 def tconorm_fusion(conorm, sources, model=None):
@@ -468,17 +425,9 @@ def tconorm_fusion(conorm, sources, model=None):
     variant is normalized since the summed values overshoot 1."""
     if conorm not in TCONORMS:
         raise ValidationError([f"unknown T-conorm {conorm!r}"])
-    frame, warnings = _prepare(sources, "tconorm", exactly=2)
-    if model is None:
-        model = Model.free(frame)
-    _check_model(model, frame)
+    model, warnings = _prepare(sources, "tconorm", model, exactly=2)
     model.check_not_degenerate()
-    fn = TCONORMS[conorm]
-    acc = {}
-    for (x, vx) in _focal_items(sources[0]):
-        for (y, vy) in _focal_items(sources[1]):
-            key = model.reduce(x | y)
-            acc[key] = acc.get(key, 0.0) + fn(vx, vy)
+    acc, _, _ = _walk(sources, _join(model), TCONORMS[conorm])
     acc, _ = _normalize_acc(acc, f"tconorm[{conorm}]")
-    return FusionReport(f"tconorm[{conorm}]", model, PreciseMass(frame, acc), 0.0,
+    return FusionReport(f"tconorm[{conorm}]", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))

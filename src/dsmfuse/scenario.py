@@ -25,7 +25,7 @@ JSON (see from_json_dict). parse_scenario(emit_scenario(s)) == s.
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import neutro, rules
 from .decision import decide as decide_fn
@@ -319,39 +319,68 @@ def _parse_task(tokens, lineno=None):
 
 # --- JSON encoding ---------------------------------------------------------------
 
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number"}
+
+
+def _json_typed(value, kind, what):
+    """value itself when it has the JSON type kind."""
+    if not isinstance(value, kind):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ValidationError([f"{what} must be {_JSON_NAMES[kind]}, got {got}"])
+    return value
+
+
+def _json_field(obj, key, kind, default):
+    value = obj.get(key)
+    if value is None:
+        return default
+    return _json_typed(value, kind, f"JSON field {key!r}")
+
+
 def from_json_dict(doc):
     if not isinstance(doc, dict):
         raise ValidationError(["JSON scenario must be an object"])
-    frame_labels = doc.get("frame")
-    model = doc.get("model") or {}
-    constraint_specs = [(c, None) for c in model.get("constraints", [])]
+    model = _json_field(doc, "model", dict, {})
+    constraint_specs = [(_json_typed(c, str, "a JSON constraint"), None)
+                        for c in _json_field(model, "constraints", list, [])]
     source_specs = []
-    for src in doc.get("sources", []):
+    for src in _json_field(doc, "sources", list, []):
+        src = _json_typed(src, dict, "a JSON source")
         entries = [
-            (expr, _json_value_text(v), None) for expr, v in src.get("mass", {}).items()
+            (expr, _json_value_text(v), None)
+            for expr, v in _json_field(src, "mass", dict, {}).items()
         ]
-        source_specs.append((src.get("name", f"m{len(source_specs) + 1}"), entries, None))
+        name = _json_field(src, "name", str, f"m{len(source_specs) + 1}")
+        source_specs.append((name, entries, None))
     task_specs = []
-    for t in doc.get("tasks", []):
+    for t in _json_field(doc, "tasks", list, []):
+        t = _json_typed(t, dict, "a JSON task")
         tokens = []
         if t.get("compare"):
             tokens.append("compare")
         else:
-            tokens.append(t.get("rule", "dsm_hybrid"))
-        for k, v in sorted(t.get("params", {}).items()):
+            # a null rule means the scenario's default rule
+            tokens.append(_json_field(t, "rule", str, None) if "rule" in t else "dsm_hybrid")
+        for k, v in sorted(_json_field(t, "params", dict, {}).items()):
             tokens.append(f"{k}={v}")
         if t.get("decide"):
             tokens.append("decide")
         task_specs.append((tokens, None))
     return _build_scenario(
-        frame_labels, model.get("kind"), constraint_specs, source_specs, task_specs
+        _json_field(doc, "frame", list, None), model.get("kind"), constraint_specs,
+        source_specs, task_specs,
     )
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _json_value_text(v):
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return repr(float(v))
-    if isinstance(v, list) and len(v) == 3:
+    if isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)):
         return "(" + ", ".join(repr(float(x)) for x in v) + ")"
     if isinstance(v, str):
         return v
@@ -426,9 +455,10 @@ def default_rule(scenario):
     return "dsm_hybrid"
 
 
-def run(scenario, rule=None, compare=False, decide=False):
+def run(scenario, rule=None, compare=False, decide=False, s3=None):
     """Execute the scenario's tasks (or the overriding rule/compare request)
-    and return a list of TaskResult."""
+    and return a list of TaskResult. decide and s3, when given, apply to
+    every task run."""
     tasks = list(scenario.tasks)
     if rule or compare:
         tasks = [Task("compare" if compare else "fuse", rule, (), decide)]
@@ -436,6 +466,9 @@ def run(scenario, rule=None, compare=False, decide=False):
         tasks = [Task("fuse", None, (), decide)]
     elif decide:
         tasks = [Task(t.kind, t.rule, t.params, True) for t in tasks]
+    if s3:
+        tasks = [Task(t.kind, t.rule, tuple(sorted(dict(t.params, s3=s3).items())), t.decide)
+                 for t in tasks]
 
     results = []
     for task in tasks:
@@ -485,9 +518,9 @@ def _dispatch(scenario, task, rid):
 
     if kind == "ImpreciseMass":
         if rid in ("dsm_classic", "dsm_classic_imprecise"):
-            return rules.dsm_classic_imprecise(sources)
+            return rules.dsm_classic(sources)
         if rid in ("dsm_hybrid", "dsm_hybrid_imprecise"):
-            return rules.dsm_hybrid_imprecise(model, sources, s3_target=s3)
+            return rules.dsm_hybrid(model, sources, s3_target=s3)
         raise ValidationError([f"rule {rid!r} does not take imprecise sources"])
 
     table = {

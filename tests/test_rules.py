@@ -13,6 +13,7 @@ from dsmfuse.errors import (
 from dsmfuse.lattice import Frame, Model, exclusivity
 from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, lift, parse_set
 from dsmfuse.rules import (
+    S3_COMPONENTS,
     S3_UNION,
     degree_of_inclusion,
     degree_of_intersection,
@@ -442,16 +443,20 @@ def test_imprecise_hybrid_moves_the_intersection_to_the_union():
 
 def test_point_sets_degenerate_to_the_precise_rules():
     rng = random.Random(19)
-    for _ in range(20):
-        m1, m2 = random_mass(F3, rng), random_mass(F3, rng)
-        precise = dsm_classic([m1, m2])
-        lifted = dsm_classic_imprecise([lift(m1), lift(m2)])
-        got = {el: v.as_point() for el, v in lifted.mass.items()}
-        assert got == dict(precise.mass.items())
-        hybrid_precise = dsm_hybrid(THIRD_RULED_OUT, [m1, m2])
-        hybrid_lifted = dsm_hybrid_imprecise(THIRD_RULED_OUT, [lift(m1), lift(m2)])
-        got_h = {el: v.as_point() for el, v in hybrid_lifted.mass.items()}
-        assert got_h == dict(hybrid_precise.mass.items())
+    hybrid = Model.hybrid(F3, [exclusivity(F3, 1, 2)])
+    for k, model, s3 in itertools.product((2, 3), (THIRD_RULED_OUT, hybrid),
+                                          (S3_COMPONENTS, S3_UNION)):
+        for _ in range(10):
+            sources = [random_mass(F3, rng) for _ in range(k)]
+            lifted = [lift(m) for m in sources]
+            precise = dsm_classic(sources)
+            got = dsm_classic_imprecise(lifted)
+            assert {el: v.as_point() for el, v in got.mass.items()} == dict(precise.mass.items())
+            assert got.conflict.as_point() == precise.conflict
+            precise = dsm_hybrid(model, sources, s3_target=s3)
+            got = dsm_hybrid_imprecise(model, lifted, s3_target=s3)
+            assert {el: v.as_point() for el, v in got.mass.items()} == dict(precise.mass.items())
+            assert got.conflict.as_point() == precise.conflict
 
 
 def test_non_admissible_source_warns_but_fuses():

@@ -385,6 +385,18 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["fuse", "--scenario", str(wide), "--max-frame", "6"]) == 0
     capsys.readouterr()
 
+    # JSON fields of the wrong type are validation errors, not tracebacks
+    two = [{"mass": {"a": 1.0}}, {"mass": {"a": 1.0}}]
+    for doc in ({"frame": ["a", "b"], "model": "shafer", "sources": two},
+                {"frame": ["a", "b"], "sources": [{"mass": [1]}, two[1]]},
+                {"frame": ["a", "b"], "sources": two, "tasks": [{"params": "x"}]},
+                {"frame": "ab", "sources": two},
+                {"frame": ["a", "b"], "sources": [{"mass": {"a": True}}, two[1]]}):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(doc))
+        assert cli.main(["fuse", "--scenario", str(malformed)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_lattice_listings(capsys):
     assert cli.main(["lattice", "--n", "3"]) == 0
@@ -431,7 +443,9 @@ def test_lattice_json_streams_the_dumps_format(capsys):
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_s3_flag_changes_the_report(capsys):
+@pytest.mark.parametrize("extra", [[], ["--rule", "dsm_hybrid"], ["--compare"]],
+                         ids=["tasks", "rule", "compare"])
+def test_s3_flag_changes_the_report(extra, capsys):
     text = (
         "frame: th1 th2 th3\nmodel: hybrid\nconstraint: th1 & th2 = 0\n"
         "source m1:\n  th1 & th2 = 0.5\n  th3 = 0.5\n"
@@ -443,9 +457,9 @@ def test_s3_flag_changes_the_report(capsys):
         fh.write(text)
         path = fh.name
     try:
-        cli.main(["fuse", "--scenario", path])
+        cli.main(["fuse", "--scenario", path, *extra])
         components = capsys.readouterr().out
-        cli.main(["fuse", "--scenario", path, "--s3", "union"])
+        cli.main(["fuse", "--scenario", path, *extra, "--s3", "union"])
         union = capsys.readouterr().out
         assert components != union
         assert "th1|th2|th3" in components
