@@ -10,10 +10,11 @@ its components.
 
 from dataclasses import dataclass
 
-from .errors import FrameMismatch, ValidationError, ZeroSum
-from .lattice import Model
+from .errors import ValidationError, ZeroSum
 from .mass import SubunitarySet, _MassBase
-from .rules import FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join, _route, _walk
+from .rules import (
+    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join_plan, _prepare, _transfer_plan, _walk,
+)
 
 _ONE = SubunitarySet.point(1.0)
 
@@ -182,28 +183,17 @@ class _PointTriple(tuple):
 _ZERO = _PointTriple((0.0, 0.0, 0.0))
 
 
-def _fuse_triples(rule, name, kernel, sources, model, landing, normalize):
+def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     """Walk the focal pairs with the kernel applied componentwise, drop
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
     if len(sources) != 2:
         raise ValidationError([f"{rule} combines exactly 2 sources, got {len(sources)}"])
-    frame = sources[0].frame
-    for i, m in enumerate(sources):
-        if not isinstance(m, TripleMass):
-            raise TypeError(f"{rule} expects TripleMass, got {type(m).__name__}")
-        if m.frame != frame:
-            raise FrameMismatch("sources live on different frames")
-        problems = m.validate()
-        if problems:
-            raise ValidationError([f"source {i + 1}: {p}" for p in problems])
-    model = model or Model.free(frame)
-    if model.frame != frame:
-        raise FrameMismatch("model frame differs from the sources' frame")
+    model, _ = _prepare(sources, rule, model, TripleMass)
     model.check_not_degenerate()
     # Exactly two sources, so the kernel always meets two source triples.
     acc, conflict, _ = _walk(
-        sources, landing(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO
+        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO
     )
     out = {}
     for el, (t, i, f) in acc.items():
@@ -213,7 +203,7 @@ def _fuse_triples(rule, name, kernel, sources, model, landing, normalize):
         if normalize:
             t, i, f = t / s, i / s, f / s
         out[el] = NeutrosophicTriple.of(t, i, f)
-    return FusionReport(name, model, TripleMass(frame, out), conflict[0])
+    return FusionReport(name, model, TripleMass(model.frame, out), conflict[0])
 
 
 def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=True):
@@ -226,7 +216,7 @@ def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=T
     if kind not in TNORMS:
         raise ValidationError([f"unknown N-norm {kind!r}"])
     return _fuse_triples("nnorm_fusion", f"nnorm[{kind}]", TNORMS[kind], sources, model,
-                         lambda m: _route(m, s3_target), normalize)
+                         lambda m: _transfer_plan(m, s3_target), normalize)
 
 
 def nconorm_fusion(kind, sources, model=None, normalize=True):
@@ -235,4 +225,4 @@ def nconorm_fusion(kind, sources, model=None, normalize=True):
     if kind not in TCONORMS:
         raise ValidationError([f"unknown N-conorm {kind!r}"])
     return _fuse_triples("nconorm_fusion", f"nconorm[{kind}]", TCONORMS[kind], sources, model,
-                         _join, normalize)
+                         _join_plan, normalize)

@@ -1,39 +1,40 @@
 """Combination rules for precise and imprecise mass functions.
 
-Every rule here, and the triple fusions in neutro, runs on one walk,
-`_walk`. It visits the cartesian product of the sources' focal items,
-each source's items in (cardinality, bit pattern) order, and folds a
-tuple's values left with a kernel: the product, or a T-norm or T-conorm.
-A landing function then maps the tuple's focal elements and value to
-`(key, value, dead)`. `value` is added on `key`; the tuple's value counts
-as conflict when `dead` is true; mass landing on key `None` is dropped
-and handed back to the caller. The rules differ only in their landing
-and in what they do with the sums:
+Every rule here, and the triple fusions in neutro, sums the values of the
+focal tuples (one focal item per source, in (cardinality, bit pattern)
+order), each folded left with a kernel (the product, a T-norm or a
+T-conorm), on landing sites. One walk, `_walk`, does it for all of them,
+driven by a plan `(facts, step, land)`: `facts(el)` is what landing needs
+of one focal element; `step(state, fact)` folds it into a prefix's state
+(a one-item prefix's state is its fact); `land(state)` maps a tuple's
+final state to `(key, weight, dead)`. The value (times `weight` unless
+None) is added on the int bits `key`, or handed back as dropped when
+`key` is None, and counts as conflict when `dead`. The plans:
 
-- transfer (`_route`): a live intersection keeps its mass; a forbidden
-  one goes to the union of the hypotheses involved or, when every
-  component is itself forbidden, to the union of their component
-  hypotheses, falling back to total ignorance. On the free lattice
-  nothing is forbidden, which is the classic rule;
-- meet (`_meet`): forbidden intersections are conflict and land nowhere;
-  dempster normalizes them away, smets parks them on the empty element,
-  yager parks them on total ignorance;
-- join (`_join`): each tuple lands on the union of its focal elements;
-- dubois_prade retries the union for a forbidden intersection and drops
-  the mass whose union is forbidden too, leaving a subnormal output with
-  a warning; the degree-weighted rules scale each value by how much the
-  pair overlaps or differs.
+- transfer: a live intersection keeps its mass; a forbidden one goes to
+  the union of the hypotheses involved or, when every component is itself
+  forbidden, to the union of their component hypotheses, falling back to
+  total ignorance. On the free lattice this is the classic rule;
+- meet: forbidden intersections are conflict and land nowhere; dempster
+  normalizes them away, smets keeps them on the empty element, yager on
+  total ignorance;
+- join: each tuple lands on the union of its focal elements;
+- pair: the state is the two focal elements. dubois_prade retries the
+  union of a forbidden intersection and drops the mass whose union is
+  forbidden too; the degree-weighted rules weight each pair.
 
-A value only needs + and the kernel: floats, subunitary sets, and the
-point triples of neutro all qualify. dsm_classic and dsm_hybrid take
-precise or imprecise sources. Sums and products of one-point sets run the
-same float operations in the same order as the precise rules, so point
-sets reproduce the precise results bit for bit.
+Depth first, each prefix's state and kernel value are computed once and
+each distinct final state is landed once, but every tuple still adds its
+own left-folded value, in lexicographic tuple order: the floats of a
+tuple-by-tuple walk. Values are not summed per state before the last
+kernel (a*b + a*c as a*(b + c)): that moves floats in the last place, and
+set arithmetic is only subdistributive, so one-point sets would no longer
+reproduce the precise rules bit for bit. A value only needs + and the
+kernel: floats, subunitary sets and neutro's point triples all qualify.
 """
 
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from operator import and_, attrgetter, mul, or_
 
 from .errors import (
     DegenerateNormalization,
@@ -43,7 +44,7 @@ from .errors import (
     TotalConflict,
     ValidationError,
 )
-from .lattice import Model, component_union, dsm_cardinality, upward_closure
+from .lattice import LatticeElement, Model, component_union, dsm_cardinality, upward_closure
 from .mass import ImpreciseMass, PreciseMass, SubunitarySet, is_admissible
 
 _NEAR_ZERO = 1e-12
@@ -72,10 +73,10 @@ class FusionReport:
 
 # --- shared plumbing ---------------------------------------------------------
 
-def _prepare(sources, rule, model=None, imprecise=False, exactly=None):
-    """Check the sources, and the model against their frame. Returns the
-    model (free when none is given) and the warnings."""
-    wanted = ImpreciseMass if imprecise else PreciseMass
+def _prepare(sources, rule, model=None, wanted=PreciseMass, exactly=None):
+    """Check the sources, each a wanted instance, and the model against
+    their frame. Returns the model (free when none is given) and the
+    warnings."""
     if len(sources) < 2:
         raise FewerThanTwoSources(f"{rule} needs at least two sources")
     if exactly is not None and len(sources) != exactly:
@@ -90,7 +91,7 @@ def _prepare(sources, rule, model=None, imprecise=False, exactly=None):
         problems = m.validate()
         if problems:
             raise ValidationError([f"source {i + 1}: {p}" for p in problems])
-        if imprecise and not is_admissible(m):
+        if wanted is ImpreciseMass and not is_admissible(m):
             warnings.append(f"source {i + 1} is not admissible; fusing anyway")
     if model is None:
         return Model.free(frame), warnings
@@ -105,84 +106,95 @@ def _focal_items(m):
     return [(el, v) for el, v in m.items() if v != 0.0]
 
 
-def _walk(sources, land, kernel=mul, zero=0.0):
-    """Sum every focal tuple's value on its landing site.
+def _walk(sources, plan, kernel=mul, zero=0.0):
+    """Sum every focal tuple's value on its landing site, depth first.
 
-    Returns (sums per key, conflict, mass dropped on key None). The tuple
-    order and the left fold are fixed, so two rules that land a tuple
-    alike produce the same floats.
+    Returns (sums per element, conflict, mass dropped on key None).
     """
-    acc = {}
+    facts, step, land = plan
+    first, *middle, last = [[(facts(el), v) for el, v in _focal_items(m)] for m in sources]
+    landed, rows, acc = {}, {}, {}
     conflict = lost = zero
-    for combo in product(*(_focal_items(m) for m in sources)):
-        els = [el for el, _ in combo]
-        v = combo[0][1]
-        for _, vi in combo[1:]:
-            v = kernel(v, vi)
-        key, value, dead = land(els, v)
-        if dead:
-            conflict = conflict + v
-        if key is None:
-            lost = lost + value
-        else:
-            acc[key] = acc.get(key, zero) + value
-    return acc, conflict, lost
+
+    def landing(state):
+        if state not in landed:
+            landed[state] = land(state)
+        return landed[state]
+
+    def descend(state, v, rest):
+        nonlocal conflict, lost
+        if rest:
+            for fact, w in rest[0]:
+                descend(step(state, fact), kernel(v, w), rest[1:])
+            return
+        # the landings of the last source's items after this prefix state
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = [(*landing(step(state, fact)), w) for fact, w in last]
+        for key, weight, dead, w in row:
+            x = kernel(v, w)
+            value = x if weight is None else weight * x
+            if dead:
+                conflict = conflict + x
+            if key is None:
+                lost = lost + value
+            else:
+                acc[key] = acc.get(key, zero) + value
+
+    for fact, v in first:
+        descend(fact, v, middle)
+    return {LatticeElement(sources[0].frame, k): v for k, v in acc.items()}, conflict, lost
 
 
-def _meet_all(els):
-    x = els[0]
-    for e in els[1:]:
-        x = x & e
-    return x
+# --- plans -------------------------------------------------------------------------
+
+# The two-source rules land the pair of focal elements itself.
+_PAIR = (lambda el: el, lambda x, y: (x, y))
 
 
-def _join_all(els):
-    x = els[0]
-    for e in els[1:]:
-        x = x | e
-    return x
+def _transfer_plan(model, s3_target):
+    """The state is the raw meet, the forbidden elements while every one is
+    forbidden (else None), and what the s3 target reads: the meet of the
+    upward closures for components, the join for union."""
+    frame, alive = model.frame, ~model.emptied
+    it = model.reduce(frame.total_ignorance()).bits
+    components = s3_target == S3_COMPONENTS
+    fold = and_ if components else or_
 
+    def facts(el):
+        forbidden = None if el.bits & alive else frozenset((el,))
+        return el.bits, forbidden, upward_closure(el).bits if components else el.bits
 
-def _route(model, s3_target):
-    """Transfer landing: live intersections stay, forbidden ones are
-    conflict rerouted under the model."""
-    it_reduced = model.reduce(model.frame.total_ignorance())
+    def step(a, b):
+        return a[0] & b[0], a[1] and b[1] and a[1] | b[1], fold(a[2], b[2])
 
-    def land(els, v):
-        inter = _meet_all(els)
-        reduced = model.reduce(inter)
-        if reduced.bits:
-            return reduced, v, False
-        if inter.bits == 0:
+    def land(state):
+        meet, forbidden, target = state
+        if meet & alive:
+            return meet & alive, None, False
+        if forbidden:
+            target = 0
+            for el in forbidden:
+                target |= component_union(el).bits
+        elif components:
             # Focal elements keyed by reduced representatives have lost their
             # dead parts, so the raw meet can bottom out even though the free
-            # meet never does. Rebuild it; the canonical form needs it.
-            inter = _meet_all([upward_closure(e) for e in els])
-        if all(model.is_model_empty(e) for e in els):
-            target = model.reduce(_join_all([component_union(e) for e in els]))
-        elif s3_target == S3_COMPONENTS:
-            target = model.reduce(component_union(inter))
-        else:
-            target = model.reduce(_join_all(els))
-        return (target if target.bits else it_reduced), v, True
+            # meet never does; the canonical form needs the free meet.
+            target = component_union(LatticeElement(frame, meet or target)).bits
+        return (target & alive or it), None, True
 
-    return land
+    return facts, step, land
 
 
-def _meet(model):
-    """Meet landing: forbidden intersections are conflict and land nowhere."""
-    def land(els, v):
-        key = model.reduce(_meet_all(els))
-        if key.bits:
-            return key, v, False
-        return None, v, True
-
-    return land
+def _meet_plan(model):
+    alive = ~model.emptied
+    return (attrgetter("bits"), and_,
+            lambda meet: (meet & alive, None, False) if meet & alive else (None, None, True))
 
 
-def _join(model):
-    """Join landing: every tuple lands on the union of its focal elements."""
-    return lambda els, v: (model.reduce(_join_all(els)), v, False)
+def _join_plan(model):
+    alive = ~model.emptied
+    return attrgetter("bits"), or_, lambda join: (join & alive, None, False)
 
 
 # --- classic and transfer rules ----------------------------------------------
@@ -209,19 +221,19 @@ def _dsm_rule(rule, model, sources, s3_target):
     imprecise = bool(sources) and isinstance(sources[0], ImpreciseMass)
     if imprecise:
         rule += "_imprecise"
-    model, warnings = _prepare(sources, rule, model, imprecise)
+    wanted = ImpreciseMass if imprecise else PreciseMass
+    model, warnings = _prepare(sources, rule, model, wanted)
     model.check_not_degenerate()
     zero = SubunitarySet.point(0.0) if imprecise else 0.0
-    acc, conflict, _ = _walk(sources, _route(model, s3_target), zero=zero)
-    mass = (ImpreciseMass if imprecise else PreciseMass)(model.frame, acc)
-    return FusionReport(rule, model, mass, conflict, tuple(warnings))
+    acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), zero=zero)
+    return FusionReport(rule, model, wanted(model.frame, acc), conflict, tuple(warnings))
 
 
 def dempster(model, sources):
     """Conjunctive consensus normalized by the non-conflicting mass."""
     model, warnings = _prepare(sources, "dempster", model)
     model.check_not_degenerate()
-    alive, dead, _ = _walk(sources, _meet(model))
+    alive, dead, _ = _walk(sources, _meet_plan(model))
     if 1.0 - dead <= _NEAR_ZERO:
         raise TotalConflict(f"sources are fully conflicting (k12={dead})")
     scale = 1.0 - dead
@@ -234,7 +246,7 @@ def smets(model, sources):
     element (open-world reading)."""
     model, warnings = _prepare(sources, "smets", model)
     model.check_not_degenerate()
-    alive, dead, _ = _walk(sources, _meet(model))
+    alive, dead, _ = _walk(sources, _meet_plan(model))
     empty = model.frame.empty()
     if dead > 0.0:
         alive[empty] = alive.get(empty, 0.0) + dead
@@ -247,7 +259,7 @@ def yager(model, sources):
     ignorance."""
     model, warnings = _prepare(sources, "yager", model)
     model.check_not_degenerate()
-    alive, dead, _ = _walk(sources, _meet(model))
+    alive, dead, _ = _walk(sources, _meet_plan(model))
     if dead > 0.0:
         it = model.reduce(model.frame.total_ignorance())
         alive[it] = alive.get(it, 0.0) + dead
@@ -261,14 +273,14 @@ def dubois_prade(model, sources):
     model, warnings = _prepare(sources, "dubois_prade", model, exactly=2)
     model.check_not_degenerate()
 
-    def land(els, v):
-        key = model.reduce(_meet_all(els))
-        if key.bits:
-            return key, v, False
-        key = model.reduce(_join_all(els))
-        return (key if key.bits else None), v, True
+    def land(pair):
+        x, y = pair
+        key = model.reduce(x & y).bits
+        if key:
+            return key, None, False
+        return (model.reduce(x | y).bits or None), None, True
 
-    acc, dead, lost = _walk(sources, land)
+    acc, dead, lost = _walk(sources, (*_PAIR, land))
     if lost > 0.0:
         warnings.append(
             f"mass {lost:.6f} fell on forbidden unions; output is subnormal"
@@ -283,7 +295,7 @@ def disjunctive(sources, model=None):
     elements."""
     model, warnings = _prepare(sources, "disjunctive", model)
     model.check_not_degenerate()
-    acc, _, _ = _walk(sources, _join(model))
+    acc, _, _ = _walk(sources, _join_plan(model))
     return FusionReport("disjunctive", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))
 
@@ -332,16 +344,16 @@ def dsmc_improved(sources, model=None):
     pair actually overlaps, renormalized at the end."""
     model, warnings = _prepare(sources, "dsmc_improved", model, exactly=2)
 
-    def land(els, v):
-        x, y = els
-        reduced = model.reduce(x & y)
-        if not reduced.bits:
+    def land(pair):
+        x, y = pair
+        reduced = model.reduce(x & y).bits
+        if not reduced:
             # Weight 0 except for the all-forbidden corner; either way the
             # classic-with-degrees rule keeps no mass on forbidden elements.
-            return None, v, True
-        return reduced, degree_of_intersection(model, x, y) * v, False
+            return None, None, True
+        return reduced, degree_of_intersection(model, x, y), False
 
-    acc, conflict, _ = _walk(sources, land)
+    acc, conflict, _ = _walk(sources, (*_PAIR, land))
     acc, _ = _normalize_acc(acc, "dsmc_improved")
     return FusionReport("dsmc_improved", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
@@ -351,13 +363,13 @@ def disjunctive_improved(sources, model=None):
     """Union rule weighted by how much the pair differs, renormalized."""
     model, warnings = _prepare(sources, "disjunctive_improved", model, exactly=2)
 
-    def land(els, v):
-        x, y = els
+    def land(pair):
+        x, y = pair
         w = degree_of_union(model, x, y)
         # pairs that do not differ under the model weigh 0 and add no element
-        return (model.reduce(x | y) if w else None), w * v, False
+        return (model.reduce(x | y).bits if w else None), w, False
 
-    acc, _, _ = _walk(sources, land)
+    acc, _, _ = _walk(sources, (*_PAIR, land))
     acc, _ = _normalize_acc(acc, "disjunctive_improved")
     return FusionReport("disjunctive_improved", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))
@@ -368,20 +380,20 @@ def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
     rerouted mass; the all-forbidden transfer keeps full weight."""
     model, warnings = _prepare(sources, "dsmh_improved", model, exactly=2)
     model.check_not_degenerate()
-    route = _route(model, s3_target)
+    facts, step, route = _transfer_plan(model, s3_target)
 
-    def land(els, v):
-        x, y = els
-        key, _, dead = route(els, v)
+    def land(pair):
+        (x, fx), (y, fy) = pair
+        key, _, dead = route(step(fx, fy))
         if not dead:
             w = degree_of_intersection(model, x, y)
         elif model.is_model_empty(x) and model.is_model_empty(y):
             w = 1.0
         else:
             w = degree_of_union(model, x, y)
-        return key, w * v, dead
+        return key, w, dead
 
-    acc, conflict, _ = _walk(sources, land)
+    acc, conflict, _ = _walk(sources, (lambda el: (el, facts(el)), lambda a, b: (a, b), land))
     acc, _ = _normalize_acc(acc, "dsmh_improved")
     return FusionReport("dsmh_improved", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
@@ -413,7 +425,7 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
         raise ValidationError([f"unknown T-norm {norm!r}"])
     model, warnings = _prepare(sources, "tnorm", model, exactly=2)
     model.check_not_degenerate()
-    acc, conflict, _ = _walk(sources, _route(model, s3_target), TNORMS[norm])
+    acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), TNORMS[norm])
     if norm != "algebraic":
         acc, _ = _normalize_acc(acc, f"tnorm[{norm}]")
     return FusionReport(f"tnorm[{norm}]", model, PreciseMass(model.frame, acc), conflict,
@@ -427,7 +439,7 @@ def tconorm_fusion(conorm, sources, model=None):
         raise ValidationError([f"unknown T-conorm {conorm!r}"])
     model, warnings = _prepare(sources, "tconorm", model, exactly=2)
     model.check_not_degenerate()
-    acc, _, _ = _walk(sources, _join(model), TCONORMS[conorm])
+    acc, _, _ = _walk(sources, _join_plan(model), TCONORMS[conorm])
     acc, _ = _normalize_acc(acc, f"tconorm[{conorm}]")
     return FusionReport(f"tconorm[{conorm}]", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))

@@ -19,8 +19,8 @@ tuples a triple mass. Focal elements use the expression grammar
     term   := factor ("&" factor)*
     factor := label | "(" expr ")"
 
-with "&" meaning intersection and "|" union. The same schema travels as
-JSON (see from_json_dict). parse_scenario(emit_scenario(s)) == s.
+with "&" meaning intersection and "|" union. JSON carries the same schema
+(see from_json_dict); parse_scenario(emit_scenario(s)) == s when tasks name their rule.
 """
 
 import json
@@ -32,7 +32,7 @@ from .decision import decide as decide_fn
 from .decision import bel, gpt, pl
 from .errors import DsmError, ParseError, ValidationError
 from .lattice import Frame, LatticeElement, Model
-from .mass import ImpreciseMass, PreciseMass, format_set, parse_set
+from .mass import ImpreciseMass, PreciseMass, SubunitarySet, format_set, parse_set
 from .neutro import NeutrosophicTriple, TripleMass
 
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b\s*:?")
@@ -96,14 +96,8 @@ def _tokenize(text, line):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "&|()":
-            tokens.append((ch, i))
-            i += 1
-        elif ch == "∩":
-            tokens.append(("&", i))
-            i += 1
-        elif ch == "∪":
-            tokens.append(("|", i))
+        elif ch in "&|()∩∪":
+            tokens.append(({"∩": "&", "∪": "|"}.get(ch, ch), i))
             i += 1
         else:
             m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
@@ -284,8 +278,6 @@ def _build_source(frame, name, entries):
     if kinds == {"triple"}:
         mass = TripleMass(frame, store)
     elif "imprecise" in kinds:
-        from .mass import SubunitarySet
-
         store = {
             el: v if not isinstance(v, float) else SubunitarySet.point(v)
             for el, v in store.items()
@@ -360,8 +352,8 @@ def from_json_dict(doc):
         if t.get("compare"):
             tokens.append("compare")
         else:
-            # a null rule means the scenario's default rule
-            tokens.append(_json_field(t, "rule", str, None) if "rule" in t else "dsm_hybrid")
+            # a missing or null rule means the scenario's default rule
+            tokens.append(_json_field(t, "rule", str, None))
         for k, v in sorted(_json_field(t, "params", dict, {}).items()):
             tokens.append(f"{k}={v}")
         if t.get("decide"):
@@ -378,10 +370,13 @@ def _is_number(x):
 
 
 def _json_value_text(v):
-    if _is_number(v):
-        return repr(float(v))
-    if isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)):
-        return "(" + ", ".join(repr(float(x)) for x in v) + ")"
+    try:
+        if _is_number(v):
+            return repr(float(v))
+        if isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)):
+            return "(" + ", ".join(repr(float(x)) for x in v) + ")"
+    except OverflowError:
+        raise ValidationError(["JSON mass value too large for a float"]) from None
     if isinstance(v, str):
         return v
     raise ValidationError([f"bad mass value {v!r} in JSON scenario"])
@@ -395,6 +390,8 @@ def load_scenario(path):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        except ValueError:  # an integer past the interpreter's digit limit
+            raise ParseError("bad JSON: a number has too many digits") from None
         return from_json_dict(doc)
     return parse_scenario(text)
 
@@ -412,7 +409,7 @@ def emit_scenario(scenario):
         for el, v in mass.items():
             lines.append(f"  {el.expr(style='ascii')} = {_emit_value(v)}")
     for task in scenario.tasks:
-        tokens = [task.rule if task.kind == "fuse" else "compare"]
+        tokens = [(task.rule or default_rule(scenario)) if task.kind == "fuse" else "compare"]
         tokens += [f"{k}={v}" for k, v in task.params]
         if task.decide:
             tokens.append("decide")

@@ -391,11 +391,33 @@ def test_exit_codes(tmp_path, capsys):
                 {"frame": ["a", "b"], "sources": [{"mass": [1]}, two[1]]},
                 {"frame": ["a", "b"], "sources": two, "tasks": [{"params": "x"}]},
                 {"frame": "ab", "sources": two},
-                {"frame": ["a", "b"], "sources": [{"mass": {"a": True}}, two[1]]}):
+                {"frame": ["a", "b"], "sources": [{"mass": {"a": True}}, two[1]]},
+                {"frame": ["a", "b"], "sources": [{"mass": {"a": 10 ** 400}}, two[1]]}):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(doc))
         assert cli.main(["fuse", "--scenario", str(malformed)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # an integer too long for the interpreter to read is a parse error
+    malformed.write_text('{"frame": ["a"], "sources": [{"mass": {"a": 1' + "0" * 5000 + "}}]}")
+    assert cli.main(["fuse", "--scenario", str(malformed)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_task_without_a_rule_uses_the_default_rule(tmp_path, capsys):
+    sources = [{"mass": {"a": [0.6, 0.1, 0.3], "b": [0.2, 0.2, 0.6]}},
+               {"mass": {"a": [0.5, 0.3, 0.2], "a|b": [0.1, 0.1, 0.8]}}]
+    outputs = []
+    for task in ({"decide": True}, {"rule": None, "decide": True}):
+        doc = tmp_path / "triples.json"
+        doc.write_text(json.dumps({"frame": ["a", "b"], "sources": sources, "tasks": [task]}))
+        assert cli.main(["fuse", "--scenario", str(doc)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "nnorm" in outputs[0]
+    # the text form names the default rule, which has no spelling of its own
+    assert "task: nnorm decide" in emit_scenario(load_scenario(str(doc)))
 
 
 def test_lattice_listings(capsys):

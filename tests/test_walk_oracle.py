@@ -1,0 +1,195 @@
+"""The shared-prefix combination walk against a literal tuple walk.
+
+The oracle visits every focal tuple with itertools.product, folds its
+values left with the kernel, and recomputes each tuple's landing from its
+focal elements: the transfer, meet and join landings are written out here
+on whole element tuples. Patched in for the walk and its plans, it must
+give every public rule, T-norm, T-conorm and triple fusion the same
+masses, conflict and warnings, floats compared with ==, or the same error.
+"""
+
+import itertools
+from functools import lru_cache, reduce
+from operator import and_, mul, or_
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dsmfuse import neutro, rules
+from dsmfuse.lattice import (
+    Frame,
+    LatticeElement,
+    Model,
+    component_union,
+    enumerate_hyper_power_set,
+    upward_closure,
+)
+from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, lift
+from dsmfuse.neutro import NeutrosophicTriple, TripleMass
+
+
+# --- the oracle ---------------------------------------------------------------------
+
+def focal_items(m):
+    if isinstance(m, ImpreciseMass):
+        return [(el, s) for el, s in m.items() if not (s.is_point and s.as_point() == 0.0)]
+    return [(el, v) for el, v in m.items() if v != 0.0]
+
+
+def tuple_walk(sources, plan, kernel=mul, zero=0.0):
+    """Each tuple on its own: fold its facts and values, land it."""
+    facts, step, land = plan
+    acc = {}
+    conflict = lost = zero
+    for combo in itertools.product(*map(focal_items, sources)):
+        (el, v), rest = combo[0], combo[1:]
+        state = facts(el)
+        for el, w in rest:
+            state, v = step(state, facts(el)), kernel(v, w)
+        key, weight, dead = land(state)
+        value = v if weight is None else weight * v
+        if dead:
+            conflict = conflict + v
+        if key is None:
+            lost = lost + value
+        else:
+            acc[key] = acc.get(key, zero) + value
+    frame = sources[0].frame
+    return {LatticeElement(frame, k): x for k, x in acc.items()}, conflict, lost
+
+
+def on_tuples(land):
+    """A plan whose state is the tuple of focal elements itself."""
+    return (lambda el: (el,)), (lambda a, b: a + b), land
+
+
+def route(model, s3_target):
+    it = model.reduce(model.frame.total_ignorance())
+
+    def land(els):
+        inter = reduce(and_, els)
+        if model.reduce(inter).bits:
+            return model.reduce(inter).bits, None, False
+        if inter.bits == 0:
+            inter = reduce(and_, [upward_closure(e) for e in els])
+        if all(model.is_model_empty(e) for e in els):
+            target = model.reduce(reduce(or_, [component_union(e) for e in els]))
+        elif s3_target == rules.S3_COMPONENTS:
+            target = model.reduce(component_union(inter))
+        else:
+            target = model.reduce(reduce(or_, els))
+        return (target if target.bits else it).bits, None, True
+
+    return on_tuples(land)
+
+
+def meet(model):
+    def land(els):
+        key = model.reduce(reduce(and_, els))
+        return (key.bits, None, False) if key.bits else (None, None, True)
+
+    return on_tuples(land)
+
+
+def join(model):
+    return on_tuples(lambda els: (model.reduce(reduce(or_, els)).bits, None, False))
+
+
+def patch_in_the_oracle(mp):
+    for module in (rules, neutro):
+        mp.setattr(module, "_walk", tuple_walk)
+        mp.setattr(module, "_transfer_plan", route)
+        mp.setattr(module, "_join_plan", join)
+    mp.setattr(rules, "_meet_plan", meet)
+
+
+# --- inputs -------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def pool(n):
+    return tuple(enumerate_hyper_power_set(Frame(tuple(f"h{i}" for i in range(1, n + 1))))[1:])
+
+
+@st.composite
+def fusions(draw):
+    """(model, sources): precise, lifted, set-valued or triple sources on a
+    free, shafer or hybrid model; focal elements may be reduced keys, and a
+    precise source may carry a speck of mass on the empty element."""
+    els = pool(draw(st.integers(2, 4)))
+    frame = els[0].frame
+    kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
+    if kind == "free":
+        model = Model.free(frame)
+    else:
+        dead = draw(st.lists(st.sampled_from(els), min_size=int(kind == "hybrid"), max_size=2))
+        model = Model(frame, kind, dead)
+    values = draw(st.sampled_from(["precise", "lifted", "sets", "triple"]))
+    k = draw(st.integers(2, {"precise": 4, "lifted": 3, "sets": 3, "triple": 3}[values]))
+    sources = []
+    for _ in range(k):
+        focal = draw(st.lists(st.sampled_from(els), min_size=1, max_size=4, unique=True))
+        focal = [model.reduce(e) if model.reduce(e).bits and draw(st.booleans()) else e
+                 for e in focal]
+        focal = list(dict.fromkeys(focal))
+        weights = draw(st.lists(st.integers(1, 100), min_size=len(focal),
+                                max_size=len(focal)))
+        masses = {e: w / sum(weights) for e, w in zip(focal, weights)}
+        if values == "triple":
+            sources.append(TripleMass(frame, {e: NeutrosophicTriple.of(
+                *draw(st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])] * 3)))
+                for e in focal}))
+            continue
+        if values == "precise" and draw(st.integers(0, 9)) == 0:
+            masses[frame.empty()] = 1e-10
+        m = PreciseMass(frame, masses)
+        if values == "lifted":
+            m = lift(m)
+        elif values == "sets":
+            m = ImpreciseMass(frame, {e: draw(sets_around(v)) for e, v in masses.items()})
+        sources.append(m)
+    return model, sources
+
+
+def sets_around(v):
+    point = st.just(SubunitarySet.point(v))
+    spread = st.tuples(st.floats(0, 0.1), st.floats(0, 0.1), st.booleans(), st.booleans())
+    interval = spread.map(
+        lambda t: SubunitarySet.interval(max(0.0, v - t[0]), min(1.0, v + t[1]), t[2], t[3]))
+    return st.one_of(point, interval)
+
+
+def calls(model, sources):
+    for s3 in (rules.S3_COMPONENTS, rules.S3_UNION):
+        yield lambda: rules.dsm_hybrid(model, sources, s3)
+        yield lambda: rules.dsmh_improved(model, sources, s3)
+        for norm in rules.TNORMS:
+            yield lambda: rules.tnorm_fusion(norm, sources, model, s3)
+            yield lambda: neutro.nnorm_fusion(norm, sources, model, s3)
+    yield lambda: rules.dsm_classic(sources)
+    for rule in (rules.dempster, rules.smets, rules.yager, rules.dubois_prade):
+        yield lambda: rule(model, sources)
+    for rule in (rules.disjunctive, rules.dsmc_improved, rules.disjunctive_improved):
+        yield lambda: rule(sources, model)
+    for conorm in rules.TCONORMS:
+        yield lambda: rules.tconorm_fusion(conorm, sources, model)
+        yield lambda: neutro.nconorm_fusion(conorm, sources, model)
+
+
+def outcome(call):
+    try:
+        r = call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return r.rule, r.mass.items(), r.conflict, r.warnings
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusions())
+def test_the_walk_equals_the_tuple_walk(case):
+    model, sources = case
+    got = [outcome(call) for call in calls(model, sources)]
+    with pytest.MonkeyPatch.context() as mp:
+        patch_in_the_oracle(mp)
+        want = [outcome(call) for call in calls(model, sources)]
+    assert got == want
