@@ -100,7 +100,7 @@ def _cmd_fuse(args):
 def _lattice_rows(model):
     """Yield (canonical expression, cardinality) per distinct element."""
     for el in model.iter_alive_elements():
-        yield (el.expr(style="ascii") or "{}", dsm_cardinality(model, el))
+        yield (el.expr(style="ascii"), dsm_cardinality(model, el))
 
 
 def _cmd_lattice(args):
@@ -110,6 +110,8 @@ def _cmd_lattice(args):
         if args.n is not None and args.n != frame.n:
             raise ValidationError([f"--n {args.n} disagrees with the scenario frame ({frame.n})"])
     elif args.n is not None:
+        if args.n < 0:
+            raise ValidationError([f"--n must be nonnegative, got {args.n}"])
         frame = Frame(tuple(f"th{i}" for i in range(1, args.n + 1)))
         model = Model.free(frame)
     else:
@@ -181,11 +183,9 @@ def _model_doc(model):
     }
 
 
-def _mass_rows(report, precision, renderer):
-    return {
-        (el.expr(style="ascii") or "{}"): renderer(v, precision)
-        for el, v in report.mass.items()
-    }
+def _rows(items, precision, renderer):
+    """Rendered values keyed by each element's canonical expression."""
+    return {el.expr(style="ascii"): renderer(v, precision) for el, v in items}
 
 
 # --- fuse rendering ---------------------------------------------------------------
@@ -198,17 +198,14 @@ def _render_json(scenario, results, precision):
             entry["error"] = f"{type(r.error).__name__}: {r.error}"
             tasks.append(entry)
             continue
-        entry["mass"] = _mass_rows(r.report, precision, _json_value)
+        entry["mass"] = _rows(r.report.mass.items(), precision, _json_value)
         entry["conflict"] = _json_value(r.report.conflict, precision)
         entry["warnings"] = list(r.report.warnings)
         if r.bel is not None:
-            entry["bel"] = {el.expr(style="ascii") or "{}": _json_value(v, precision)
-                            for el, v in r.bel.items()}
-            entry["pl"] = {el.expr(style="ascii") or "{}": _json_value(v, precision)
-                           for el, v in r.pl.items()}
+            entry["bel"] = _rows(r.bel.items(), precision, _json_value)
+            entry["pl"] = _rows(r.pl.items(), precision, _json_value)
         if r.pignistic is not None:
-            entry["pignistic"] = {el.expr(style="ascii") or "{}": _json_value(v, precision)
-                                  for el, v in r.pignistic.items()}
+            entry["pignistic"] = _rows(r.pignistic.items(), precision, _json_value)
             entry["warnings"] += list(r.pignistic.warnings)
         if r.decision is not None:
             entry["decision"] = {
@@ -247,10 +244,10 @@ def _single_block(r, precision):
     if r.error is not None:
         lines.append(f"error: {type(r.error).__name__}: {r.error}")
         return lines
-    rows = _mass_rows(r.report, precision, _fmt)
+    rows = _rows(r.report.mass.items(), precision, _fmt)
     labels = list(rows)
     if r.pignistic is not None:
-        labels += [el.expr(style="ascii") or "{}" for el, _ in r.pignistic.items()]
+        labels += [el.expr(style="ascii") for el, _ in r.pignistic.items()]
     width = max([len(k) for k in labels] + [7])
     lines.append("mass:")
     for k, v in rows.items():
@@ -259,12 +256,12 @@ def _single_block(r, precision):
     if r.bel is not None:
         lines.append("bel/pl:")
         for el in r.bel:
-            k = el.expr(style="ascii") or "{}"
+            k = el.expr(style="ascii")
             lines.append(f"  {k:<{width}}  {_fmt(r.bel[el], precision)}  {_fmt(r.pl[el], precision)}")
     if r.pignistic is not None:
         lines.append("pignistic:")
         for el, v in r.pignistic.items():
-            k = el.expr(style="ascii") or "{}"
+            k = el.expr(style="ascii")
             lines.append(f"  {k:<{width}}  {_fmt(v, precision)}")
     if r.decision is not None:
         tie = " (tie)" if r.decision.tie else ""
@@ -290,7 +287,7 @@ def _compare_table(results, precision):
             continue
         rows = {}
         for el, v in r.report.mass.items():
-            label = el.expr(style="ascii") or "{}"
+            label = el.expr(style="ascii")
             rows[label] = _fmt(v, precision)
             sort_key = (el.bits.bit_count(), el.bits)
             if label not in order or sort_key < order[label]:

@@ -8,12 +8,19 @@ indices, encoded as subset-mask s with bitset bit (s - 1), so meet and join
 are plain bitwise AND and OR. With at most 6 hypotheses there are at most
 63 parts and every element fits a machine word.
 
+Adding hypothesis j to a part that lacks it moves the part's bit up by 2**j,
+so (bits & ~atom_j) << 2**j grows every part of bits by j and n such
+shift-ORs close a bitset upward. minimal_parts and component_union work on
+any bitset, not only upward-closed ones: model reduction strips dead parts
+from every fused key.
+
 A Model declares which parts are impossible (empty). Reducing an element
 under a model clears its dead parts; two elements are equal under the model
 when their reduced bitsets are equal.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     DegenerateModel,
@@ -27,8 +34,32 @@ from .errors import (
 MAX_FRAME_SIZE = 6
 
 
-def _popcount(x):
-    return x.bit_count()
+@cache
+def _atoms(n):
+    """Bitset of each hypothesis over n: the parts whose subset-mask names it."""
+    return tuple(sum(1 << (s - 1) for s in range(1, 1 << n) if s >> j & 1)
+                 for j in range(n))
+
+
+def _close_up(n, bits):
+    """bits with every part containing one of its parts switched on."""
+    for j, atom in enumerate(_atoms(n)):
+        bits |= (bits & ~atom) << (1 << j)
+    return bits
+
+
+def _minimal(n, bits):
+    """The parts of bits that contain no other part of bits."""
+    above = 0
+    for j, atom in enumerate(_atoms(n)):
+        above |= (bits & ~atom) << (1 << j)
+    return bits & ~_close_up(n, above)
+
+
+def _overlaps(n):
+    """Parts naming two or more hypotheses: all parts but the n singletons."""
+    singletons = sum(1 << ((1 << j) - 1) for j in range(n))
+    return ((1 << ((1 << n) - 1)) - 1) & ~singletons
 
 
 @dataclass(frozen=True)
@@ -64,12 +95,7 @@ class Frame:
         """Element for hypothesis theta_index (1-based)."""
         if not 1 <= index <= self.n:
             raise IndexOutOfRange(f"hypothesis index {index} outside 1..{self.n}")
-        bit = 1 << (index - 1)
-        bits = 0
-        for s in range(1, 1 << self.n):
-            if s & bit:
-                bits |= 1 << (s - 1)
-        return LatticeElement(self, bits)
+        return LatticeElement(self, _atoms(self.n)[index - 1])
 
     def atom_by_label(self, label):
         try:
@@ -139,15 +165,7 @@ class LatticeElement:
 
     def is_upward_closed(self):
         """Consistency check: every superset of a present part is present."""
-        n = self.frame.n
-        for s in range(1, 1 << n):
-            if not self.bits >> (s - 1) & 1:
-                continue
-            for j in range(n):
-                t = s | (1 << j)
-                if t != s and not self.bits >> (t - 1) & 1:
-                    return False
-        return True
+        return _close_up(self.frame.n, self.bits) == self.bits
 
     def minimal_parts(self):
         """Antichain of minimal parts, each a subset-mask of hypothesis bits.
@@ -155,12 +173,13 @@ class LatticeElement:
         The element equals the union over this antichain of the
         intersections of the hypotheses named in each part.
         """
-        present = [s for s in range(1, 1 << self.frame.n) if self.bits >> (s - 1) & 1]
+        bits = _minimal(self.frame.n, self.bits)
         minimal = []
-        for s in present:
-            if not any(t != s and t & ~s == 0 for t in present):
-                minimal.append(s)
-        minimal.sort(key=lambda s: (_popcount(s), s))
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            minimal.append(low.bit_length())
+        minimal.sort(key=lambda s: (s.bit_count(), s))
         return minimal
 
     def expr(self, style="unicode"):
@@ -186,14 +205,13 @@ def component_union(x):
     """Union of every hypothesis appearing in x's canonical form."""
     if x.bits == 0:
         raise EmptyArgument("component union undefined on the empty element")
-    mask = 0
-    for s in x.minimal_parts():
-        mask |= s
-    out = x.frame.empty()
-    for j in range(x.frame.n):
-        if mask >> j & 1:
-            out = out | x.frame.atom(j + 1)
-    return out
+    n = x.frame.n
+    minimal = _minimal(n, x.bits)
+    out = 0
+    for atom in _atoms(n):
+        if minimal & atom:
+            out |= atom
+    return LatticeElement(x.frame, out)
 
 
 def upward_closure(x):
@@ -204,21 +222,7 @@ def upward_closure(x):
     element with the same minimal parts, so meets behave as they would
     have before reduction.
     """
-    universe = (1 << x.frame.n) - 1
-    out = x.bits
-    bits = x.bits
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        s = low.bit_length()
-        rest = universe & ~s
-        sub = rest
-        while True:
-            out |= 1 << ((s | sub) - 1)
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-    return LatticeElement(x.frame, out)
+    return LatticeElement(x.frame, _close_up(x.frame.n, x.bits))
 
 
 def _monotone_masks(n):
@@ -260,7 +264,7 @@ def enumerate_bitsets(n):
     # Drop the single function that marks the empty part (it forces all
     # parts present), then shift the empty-part bit away.
     bitsets = [h >> 1 for h in _monotone_masks(n) if not h & 1]
-    bitsets.sort(key=lambda b: (_popcount(b), b))
+    bitsets.sort(key=lambda b: (b.bit_count(), b))
     return bitsets
 
 
@@ -292,9 +296,7 @@ class Model:
                 raise FrameMismatch("constraint element belongs to a different frame")
             emptied |= c.bits
         if kind == "shafer":
-            for s in range(1, 1 << frame.n):
-                if _popcount(s) >= 2:
-                    emptied |= 1 << (s - 1)
+            emptied |= _overlaps(frame.n)
         self.emptied = emptied
 
     @classmethod
@@ -344,10 +346,7 @@ class Model:
 
     def is_shafer_compatible(self):
         """True when every overlap of two or more hypotheses is empty."""
-        for s in range(1, 1 << self.frame.n):
-            if _popcount(s) >= 2 and not self.emptied >> (s - 1) & 1:
-                return False
-        return True
+        return _overlaps(self.frame.n) & ~self.emptied == 0
 
     def iter_alive_elements(self):
         """Yield distinct reduced elements, deterministic order, empty first.
@@ -385,7 +384,7 @@ def canonical_form(model, x):
 
 def dsm_cardinality(model, x):
     """Number of parts of x that the model keeps alive."""
-    return _popcount(model.reduce(x).bits)
+    return model.reduce(x).bits.bit_count()
 
 
 def total_ignorance(frame):

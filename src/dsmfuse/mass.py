@@ -367,6 +367,12 @@ class _MassBase:
     def __hash__(self):
         return hash((type(self).__name__, self.frame, tuple(self._masses.items())))
 
+    def check(self, tol=DEFAULT_TOL):
+        problems = self.validate(tol)
+        if problems:
+            raise ValidationError(problems)
+        return self
+
 
 class PreciseMass(_MassBase):
     """Mass function with one real per focal element."""
@@ -393,12 +399,6 @@ class PreciseMass(_MassBase):
         if abs(t - 1.0) > tol:
             problems.append(f"total mass {t} differs from 1")
         return problems
-
-    def check(self, tol=DEFAULT_TOL):
-        problems = self.validate(tol)
-        if problems:
-            raise ValidationError(problems)
-        return self
 
     def normalize(self):
         t = self.total()
@@ -433,12 +433,6 @@ class ImpreciseMass(_MassBase):
             if el.bits == 0 and not self.allows_empty_focal and not s.contains(0.0, tol):
                 problems.append(f"empty element carries nonzero set {format_set(s)}")
         return problems
-
-    def check(self, tol=DEFAULT_TOL):
-        problems = self.validate(tol)
-        if problems:
-            raise ValidationError(problems)
-        return self
 
     def __repr__(self):
         inner = ", ".join(f"{el.expr()}: {format_set(s)}" for el, s in self._masses.items())

@@ -159,12 +159,6 @@ class TripleMass(_MassBase):
                 problems.append(f"triple mass on the empty element {el.expr()}")
         return problems
 
-    def check(self, tol=1e-9):
-        problems = self.validate(tol)
-        if problems:
-            raise ValidationError(problems)
-        return self
-
     def __repr__(self):
         inner = ", ".join(f"{el.expr()}: {trip!r}" for el, trip in self._masses.items())
         return "TripleMass({" + inner + "})"

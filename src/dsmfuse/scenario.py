@@ -37,6 +37,9 @@ from .neutro import NeutrosophicTriple, TripleMass
 
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b\s*:?")
 
+# deepest parenthesis nesting parse_element accepts: it recurses per level
+MAX_NESTING = 100
+
 
 # --- element expressions -------------------------------------------------------
 
@@ -91,13 +94,16 @@ def parse_element(frame, text, line=None):
 
 def _tokenize(text, line):
     tokens = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
         elif ch in "&|()∩∪":
             tokens.append(({"∩": "&", "∪": "|"}.get(ch, ch), i))
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, i + 1)
             i += 1
         else:
             m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
@@ -383,8 +389,13 @@ def _json_value_text(v):
 
 
 def load_scenario(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -392,6 +403,8 @@ def load_scenario(path):
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
         except ValueError:  # an integer past the interpreter's digit limit
             raise ParseError("bad JSON: a number has too many digits") from None
+        except RecursionError:
+            raise ParseError("bad JSON: nested too deeply") from None
         return from_json_dict(doc)
     return parse_scenario(text)
 

@@ -14,6 +14,7 @@ from dsmfuse.errors import (
     IndexOutOfRange,
 )
 from dsmfuse.lattice import (
+    MAX_FRAME_SIZE,
     Frame,
     LatticeElement,
     Model,
@@ -326,3 +327,131 @@ def test_element_repr_and_hash():
     assert len({a, f.atom(1), f.atom(2)}) == 2
     with pytest.raises(AttributeError):
         a.bits = 0
+
+
+# --- the mask algebra against part-by-part reference loops ---------------------
+
+def ref_atom(n, index):
+    bit = 1 << (index - 1)
+    bits = 0
+    for s in range(1, 1 << n):
+        if s & bit:
+            bits |= 1 << (s - 1)
+    return bits
+
+
+def ref_minimal_parts(n, bits):
+    present = [s for s in range(1, 1 << n) if bits >> (s - 1) & 1]
+    minimal = []
+    for s in present:
+        if not any(t != s and t & ~s == 0 for t in present):
+            minimal.append(s)
+    minimal.sort(key=lambda s: (s.bit_count(), s))
+    return minimal
+
+
+def ref_upward_closure(n, bits):
+    universe = (1 << n) - 1
+    out = bits
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        s = low.bit_length()
+        rest = universe & ~s
+        sub = rest
+        while True:
+            out |= 1 << ((s | sub) - 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return out
+
+
+def ref_is_upward_closed(n, bits):
+    for s in range(1, 1 << n):
+        if not bits >> (s - 1) & 1:
+            continue
+        for j in range(n):
+            t = s | (1 << j)
+            if t != s and not bits >> (t - 1) & 1:
+                return False
+    return True
+
+
+def ref_shafer_mask(n):
+    emptied = 0
+    for s in range(1, 1 << n):
+        if s.bit_count() >= 2:
+            emptied |= 1 << (s - 1)
+    return emptied
+
+
+def ref_is_shafer_compatible(n, emptied):
+    for s in range(1, 1 << n):
+        if s.bit_count() >= 2 and not emptied >> (s - 1) & 1:
+            return False
+    return True
+
+
+def ref_component_union(n, bits):
+    mask = 0
+    for s in ref_minimal_parts(n, bits):
+        mask |= s
+    out = 0
+    for j in range(n):
+        if mask >> j & 1:
+            out |= ref_atom(n, j + 1)
+    return out
+
+
+def ref_expr(frame, bits, style):
+    inter, union, empty = ("∩", "∪", "∅") if style == "unicode" else ("&", "|", "{}")
+    if bits == 0:
+        return empty
+    terms = []
+    groups = ref_minimal_parts(frame.n, bits)
+    for s in groups:
+        labs = [frame.labels[j] for j in range(frame.n) if s >> j & 1]
+        term = inter.join(labs)
+        if len(labs) > 1 and len(groups) > 1:
+            term = "(" + term + ")"
+        terms.append(term)
+    return union.join(terms)
+
+
+def assert_matches_reference(n, bits):
+    f = frame_of(n)
+    x = LatticeElement(f, bits)
+    assert x.minimal_parts() == ref_minimal_parts(n, bits)
+    assert upward_closure(x).bits == ref_upward_closure(n, bits)
+    assert x.is_upward_closed() == ref_is_upward_closed(n, bits)
+    for style in ("unicode", "ascii"):
+        assert x.expr(style=style) == ref_expr(f, bits, style)
+    if bits:
+        assert component_union(x).bits == ref_component_union(n, bits)
+    # the bitset as a constraint empties exactly its own parts
+    assert (Model.hybrid(f, [x]).is_shafer_compatible()
+            == ref_is_shafer_compatible(n, bits))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_mask_algebra_matches_reference_on_every_bitset(n):
+    # every family of parts, upward closed or not
+    for bits in range(1 << ((1 << n) - 1)):
+        assert_matches_reference(n, bits)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mask_algebra_matches_reference_on_wider_frames(data):
+    n = data.draw(st.integers(4, 6))
+    assert_matches_reference(n, data.draw(st.integers(0, (1 << ((1 << n) - 1)) - 1)))
+
+
+@pytest.mark.parametrize("n", range(MAX_FRAME_SIZE + 1))
+def test_atoms_and_shafer_mask_match_the_part_scan(n):
+    f = frame_of(n)
+    assert [f.atom(i).bits for i in range(1, n + 1)] == [ref_atom(n, i) for i in range(1, n + 1)]
+    shafer = Model.shafer(f)
+    assert shafer.emptied == ref_shafer_mask(n)
+    assert shafer.is_shafer_compatible()

@@ -9,6 +9,7 @@ from dsmfuse.lattice import Frame, Model
 from dsmfuse.mass import ImpreciseMass, PreciseMass, parse_set
 from dsmfuse.neutro import NeutrosophicTriple, TripleMass
 from dsmfuse.scenario import (
+    MAX_NESTING,
     Scenario,
     Task,
     emit_scenario,
@@ -63,6 +64,10 @@ def test_expression_errors_carry_positions():
         parse_element(f, "a b")
     with pytest.raises(ParseError):
         parse_element(f, "")
+    # nesting is capped before the recursive parser runs out of stack
+    assert parse_element(f, "(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == f.atom(1)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_element(f, "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1))
 
 
 # --- document parsing --------------------------------------------------------------
@@ -403,6 +408,27 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["fuse", "--scenario", str(malformed)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+    # unreadable files, nesting past the parsers' depth and a negative frame
+    # size are parse errors with a one-line message
+    undecodable = tmp_path / "latin1.dsm"
+    undecodable.write_bytes(b"frame: \xe9 b\n")
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 3000 + "]" * 3000)
+    deep_parens = tmp_path / "deep.dsm"
+    deep_parens.write_text("frame: a b\nsource m:\n  " + "(" * 2000 + "a" + ")" * 2000 + " = 1.0\n")
+    for argv in (["fuse", "--scenario", str(tmp_path / "missing.dsm")],
+                 ["fuse", "--scenario", str(tmp_path)],
+                 ["fuse", "--scenario", str(undecodable)],
+                 ["fuse", "--scenario", str(deep_json)],
+                 ["fuse", "--scenario", str(deep_parens)],
+                 ["lattice", "--n", "-1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert cli.main(["lattice", "--n", "0"]) == 0
+    assert capsys.readouterr().out.endswith("1 elements\n")
 
 
 def test_json_task_without_a_rule_uses_the_default_rule(tmp_path, capsys):
