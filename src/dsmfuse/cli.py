@@ -10,11 +10,12 @@ Exit codes: 0 success, 2 parse or validation error, 3 rule error,
 """
 
 import argparse
+import functools
 import json
 import sys
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
-from .lattice import Frame, Model, dsm_cardinality
+from .lattice import Frame, Model
 from .mass import format_set
 from .neutro import NeutrosophicTriple
 from .scenario import COMPARE_RULES, load_scenario, run
@@ -37,7 +38,9 @@ def _parse_precision(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="dsmfuse", description="Evidential fusion over hyper-power sets")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -62,8 +65,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "fuse":
             return _cmd_fuse(args)
@@ -98,9 +100,10 @@ def _cmd_fuse(args):
 
 
 def _lattice_rows(model):
-    """Yield (canonical expression, cardinality) per distinct element."""
+    """Yield (canonical expression, cardinality) per distinct element; the
+    elements come reduced, so a cardinality is a bit count."""
     for el in model.iter_alive_elements():
-        yield (el.expr(style="ascii"), dsm_cardinality(model, el))
+        yield el.expr(style="ascii"), el.bits.bit_count()
 
 
 def _cmd_lattice(args):
@@ -130,10 +133,11 @@ def _stream_lattice_json(frame, model):
     out.write(head[:-2])
     out.write(',\n  "elements": [')
     count = 0
-    for i, (e, c) in enumerate(_lattice_rows(model)):
-        item = json.dumps({"index": i, "expression": e, "cardinality": c}, indent=2)
-        body = "".join("    " + ln for ln in item.splitlines(keepends=True))
-        out.write(("\n" if count == 0 else ",\n") + body)
+    sep = "\n"
+    for e, c in _lattice_rows(model):
+        out.write(f'{sep}    {{\n      "index": {count},\n      "expression": {json.dumps(e)},\n'
+                  f'      "cardinality": {c}\n    }}')
+        sep = ",\n"
         count += 1
     out.write("]" if count == 0 else "\n  ]")
     out.write(f',\n  "count": {count}\n}}\n')
@@ -141,19 +145,18 @@ def _stream_lattice_json(frame, model):
 
 
 def _stream_lattice_table(model):
-    # first pass sizes the expression column, second pass prints; rendering
-    # twice keeps the n=6 listing (7.8 million rows) out of memory
-    width = len("expression")
-    count = 0
-    for e, _ in _lattice_rows(model):
-        if len(e) > width:
-            width = len(e)
-        count += 1
+    # the expression column is as wide as the widest row, so every row is
+    # rendered once and held until the width is known; at six hypotheses
+    # that holds 7.8 million expressions, their cardinalities a byte each
+    exprs, cards = [], bytearray()
+    for e, c in _lattice_rows(model):
+        exprs.append(e)
+        cards.append(c)
+    width = max(max(map(len, exprs), default=0), len("expression"))
     out = sys.stdout
     out.write(f"{'index':>5}  {'expression':<{width}}  cardinality\n")
-    for i, (e, c) in enumerate(_lattice_rows(model)):
-        out.write(f"{i:>5}  {e:<{width}}  {c}\n")
-    out.write(f"{count} elements\n")
+    out.writelines(f"{i:>5}  {e:<{width}}  {c}\n" for i, (e, c) in enumerate(zip(exprs, cards)))
+    out.write(f"{len(exprs)} elements\n")
     return EXIT_OK
 
 
@@ -245,10 +248,9 @@ def _single_block(r, precision):
         lines.append(f"error: {type(r.error).__name__}: {r.error}")
         return lines
     rows = _rows(r.report.mass.items(), precision, _fmt)
-    labels = list(rows)
-    if r.pignistic is not None:
-        labels += [el.expr(style="ascii") for el, _ in r.pignistic.items()]
-    width = max([len(k) for k in labels] + [7])
+    pignistic = [] if r.pignistic is None else \
+        [(el.expr(style="ascii"), _fmt(v, precision)) for el, v in r.pignistic.items()]
+    width = max([len(k) for k in rows] + [len(k) for k, _ in pignistic] + [7])
     lines.append("mass:")
     for k, v in rows.items():
         lines.append(f"  {k:<{width}}  {v}")
@@ -260,9 +262,8 @@ def _single_block(r, precision):
             lines.append(f"  {k:<{width}}  {_fmt(r.bel[el], precision)}  {_fmt(r.pl[el], precision)}")
     if r.pignistic is not None:
         lines.append("pignistic:")
-        for el, v in r.pignistic.items():
-            k = el.expr(style="ascii")
-            lines.append(f"  {k:<{width}}  {_fmt(v, precision)}")
+        for k, v in pignistic:
+            lines.append(f"  {k:<{width}}  {v}")
     if r.decision is not None:
         tie = " (tie)" if r.decision.tie else ""
         lines.append(f"decision: {r.decision.choice.expr(style='ascii')}"

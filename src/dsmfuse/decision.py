@@ -90,28 +90,29 @@ def _spread(model, m, zero_cardinality):
 
     zero_cardinality says what to do with mass on elements the model gives
     cardinality 0: "skip" drops it with a warning, "to_empty" moves it to
-    the empty element.
+    the empty element, which the alive list holds first. Each focal element
+    adds w[shared] to every alive element, w[0] being 0.0, so an element it
+    does not reach keeps its value exactly.
     """
     alive = model.alive_elements()
-    values = {el: 0.0 for el in alive}
+    alive_bits = [el.bits for el in alive]
+    acc = [0.0] * len(alive)
     warnings = []
-    empty = model.frame.empty()
     for rx, v in _reduced_items(m, model):
-        cx = rx.bits.bit_count()
+        xb = rx.bits
+        cx = xb.bit_count()
         if cx == 0:
             if v:
                 if zero_cardinality == "to_empty":
-                    values[empty] += v
+                    acc[0] += v
                 else:
                     warnings.append(
                         f"mass {v:g} on forbidden element skipped by the transform"
                     )
             continue
-        for el in alive:
-            shared = (rx.bits & el.bits).bit_count()
-            if shared:
-                values[el] += v * shared / cx
-    return values, tuple(warnings)
+        w = [0.0] + [v * shared / cx for shared in range(1, cx + 1)]
+        acc = [t + w[(xb & b).bit_count()] for t, b in zip(acc, alive_bits)]
+    return dict(zip(alive, acc)), tuple(warnings)
 
 
 def gpt(model, m):

@@ -20,7 +20,7 @@ when their reduced bitsets are equal.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .errors import (
     DegenerateModel,
@@ -54,6 +54,21 @@ def _minimal(n, bits):
     for j, atom in enumerate(_atoms(n)):
         above |= (bits & ~atom) << (1 << j)
     return bits & ~_close_up(n, above)
+
+
+@lru_cache(maxsize=32)
+def _terms(labels, unicode):
+    """Rendering table for a frame's labels: the empty and union symbols,
+    then per part bit its rank in (size, mask) order, its bare term and its
+    term as printed inside a union of two or more terms."""
+    inter, union, empty = ("∩", "∪", "∅") if unicode else ("&", "|", "{}")
+    masks = range(1, 1 << len(labels))
+    rank = [0] * len(masks)
+    for r, s in enumerate(sorted(masks, key=lambda s: (s.bit_count(), s))):
+        rank[s - 1] = r
+    bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1) for s in masks]
+    paren = [t if s.bit_count() == 1 else f"({t})" for s, t in zip(masks, bare)]
+    return empty, union, rank, bare, paren
 
 
 def _overlaps(n):
@@ -184,18 +199,17 @@ class LatticeElement:
 
     def expr(self, style="unicode"):
         """Canonical expression: union of intersections of minimal parts."""
-        inter, union, empty = ("∩", "∪", "∅") if style == "unicode" else ("&", "|", "{}")
-        if self.bits == 0:
-            return empty
-        terms = []
-        groups = self.minimal_parts()
-        for s in groups:
-            labs = [self.frame.labels[j] for j in range(self.frame.n) if s >> j & 1]
-            term = inter.join(labs)
-            if len(labs) > 1 and len(groups) > 1:
-                term = "(" + term + ")"
-            terms.append(term)
-        return union.join(terms)
+        empty, union, rank, bare, paren = _terms(self.frame.labels, style == "unicode")
+        bits = _minimal(len(self.frame.labels), self.bits)
+        if bits & (bits - 1) == 0:
+            return bare[bits.bit_length() - 1] if bits else empty
+        parts = []
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            parts.append(low.bit_length() - 1)
+        parts.sort(key=rank.__getitem__)
+        return union.join([paren[k] for k in parts])
 
     def __repr__(self):
         return f"<{self.expr()}>"

@@ -35,6 +35,7 @@ from .lattice import Frame, LatticeElement, Model
 from .mass import ImpreciseMass, PreciseMass, SubunitarySet, format_set, parse_set
 from .neutro import NeutrosophicTriple, TripleMass
 
+_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b\s*:?")
 
 # deepest parenthesis nesting parse_element accepts: it recurses per level
@@ -106,11 +107,11 @@ def _tokenize(text, line):
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, i + 1)
             i += 1
         else:
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
+            m = _LABEL_RE.match(text, i)
             if not m:
                 raise ParseError(f"bad character {ch!r} in expression", line, i + 1)
             tokens.append((m.group(0), i))
-            i += len(m.group(0))
+            i = m.end()
     if not tokens:
         raise ParseError("empty expression", line)
     return tokens

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmfuse.decision import (
     bel,
@@ -14,8 +16,10 @@ from dsmfuse.decision import (
 from dsmfuse.errors import EmptyArgument, EmptyCandidates, ModelNotShafer
 from dsmfuse.lattice import (
     Frame,
+    LatticeElement,
     Model,
     dsm_cardinality,
+    enumerate_bitsets,
     enumerate_hyper_power_set,
     exclusivity,
 )
@@ -184,6 +188,66 @@ def test_classical_transform_rejects_overlapping_models():
     m = PreciseMass.vacuous(F3)
     with pytest.raises(ModelNotShafer):
         cpt(Model.free(F3), m)
+
+
+def ref_spread(model, m, zero_cardinality):
+    """The pignistic accumulation as first written: a dict keyed by the
+    alive elements, one lookup and add per focal element and alive element
+    that share a part."""
+    alive = model.alive_elements()
+    values = {el: 0.0 for el in alive}
+    warnings = []
+    empty = model.frame.empty()
+    for x, v in m.items():
+        rx = model.reduce(x)
+        cx = rx.bits.bit_count()
+        if cx == 0:
+            if v:
+                if zero_cardinality == "to_empty":
+                    values[empty] += v
+                else:
+                    warnings.append(
+                        f"mass {v:g} on forbidden element skipped by the transform"
+                    )
+            continue
+        for el in alive:
+            shared = (rx.bits & el.bits).bit_count()
+            if shared:
+                values[el] += v * shared / cx
+    return values, tuple(warnings)
+
+
+@st.composite
+def model_and_mass(draw):
+    n = draw(st.integers(1, 4))
+    f = Frame(tuple(f"th{i}" for i in range(1, n + 1)))
+    free = enumerate_bitsets(n)
+    element = st.sampled_from(free).map(lambda b: LatticeElement(f, b))
+    kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
+    constraints = [] if kind == "free" else draw(st.lists(element, max_size=2))
+    model = Model(f, kind, constraints)
+    # focal elements anywhere in the free lattice: the empty element and
+    # elements the model forbids carry mass too
+    masses = draw(st.dictionaries(element, st.floats(0.0, 1.0), min_size=1, max_size=6))
+    return model, PreciseMass(f, masses)
+
+
+@given(model_and_mass())
+@settings(max_examples=200, deadline=None)
+def test_pignistic_spread_matches_the_dict_oracle(case):
+    model, m = case
+    values, warnings = ref_spread(model, m, "skip")
+    g = gpt(model, m)
+    assert [(el, v.hex()) for el, v in g.items()] == [(el, v.hex()) for el, v in values.items()]
+    assert g.warnings == warnings
+    if not model.is_shafer_compatible():
+        with pytest.raises(ModelNotShafer):
+            cpt(model, m)
+        return
+    values, warnings = ref_spread(model, m, "to_empty")
+    c = cpt(model, m)
+    assert [(el, v.hex()) for el, v in c.items()] == [(el, v.hex()) for el, v in values.items()]
+    assert c.warnings == warnings
 
 
 # --- decisions ------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from dsmfuse import cli
 from dsmfuse.errors import ParseError, ValidationError
-from dsmfuse.lattice import Frame, Model
+from dsmfuse.lattice import Frame, Model, dsm_cardinality
 from dsmfuse.mass import ImpreciseMass, PreciseMass, parse_set
 from dsmfuse.neutro import NeutrosophicTriple, TripleMass
 from dsmfuse.scenario import (
@@ -479,16 +482,83 @@ def test_lattice_json_and_errors(capsys):
     capsys.readouterr()
 
 
-def test_lattice_json_streams_the_dumps_format(capsys):
+def listing_models(tmp_path):
+    """Scenario files for the listing tests: a hybrid model and a frame
+    whose labels need JSON escaping."""
+    hybrid = tmp_path / "hybrid.dsm"
+    hybrid.write_text("frame: a b c d\nmodel: hybrid\nconstraint: a & b = 0\n"
+                      "constraint: c & (a | d) = 0\n")
+    escaped = tmp_path / "escaped.dsm"
+    escaped.write_text('frame: é q"x b\nmodel: free\n', encoding="utf-8")
+    return [fixture("vacuous_pignistic.dsm"), str(hybrid), str(escaped)]
+
+
+def test_lattice_json_streams_the_dumps_format(tmp_path, capsys):
     # the listing is written incrementally (the n=6 lattice is huge), so
     # pin the stream to exactly what one json.dumps of the whole document
     # would have produced
-    for argv in (["lattice", "--n", "2", "--format", "json"],
-                 ["lattice", "--model", fixture("vacuous_pignistic.dsm"),
-                  "--format", "json"]):
-        assert cli.main(argv) == 0
+    argvs = [["lattice", "--n", str(n)] for n in (0, 2, 4)]
+    argvs += [["lattice", "--model", path] for path in listing_models(tmp_path)]
+    for argv in argvs:
+        assert cli.main(argv + ["--format", "json"]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert "\\u00e9&q\\\"x" in out
+
+
+def two_pass_table(model):
+    """The table listing as first written: one pass over the elements sizes
+    the expression column, a second pass renders and prints every row."""
+    def rows():
+        for el in model.iter_alive_elements():
+            yield el.expr(style="ascii"), dsm_cardinality(model, el)
+
+    out = io.StringIO()
+    width = len("expression")
+    count = 0
+    for e, _ in rows():
+        width = max(width, len(e))
+        count += 1
+    out.write(f"{'index':>5}  {'expression':<{width}}  cardinality\n")
+    for i, (e, c) in enumerate(rows()):
+        out.write(f"{i:>5}  {e:<{width}}  {c}\n")
+    out.write(f"{count} elements\n")
+    return out.getvalue()
+
+
+def test_lattice_table_matches_a_two_pass_writer(tmp_path, capsys):
+    models = [Model.free(Frame(tuple(f"th{i}" for i in range(1, n + 1)))) for n in (0, 1, 3, 4)]
+    argvs = [["lattice", "--n", str(n)] for n in (0, 1, 3, 4)]
+    for path in listing_models(tmp_path):
+        models.append(load_scenario(path).model)
+        argvs.append(["lattice", "--model", path])
+    for model, argv in zip(models, argvs):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == two_pass_table(model)
+
+
+def test_five_hypothesis_requests_do_not_import_numpy(tmp_path):
+    # numpy adds about 12 MB of resident memory; only the six-hypothesis
+    # enumeration may load it
+    doc = tmp_path / "five.dsm"
+    doc.write_text("frame: a b c d e\nmodel: hybrid\nconstraint: a & b = 0\n"
+                   "source m1:\n  a = 0.6\n  b | (c & d) = 0.4\n"
+                   "source m2:\n  a | e = 0.5\n  c = 0.5\n")
+    script = (
+        "import contextlib, io, sys\n"
+        "from dsmfuse import cli\n"
+        "for argv in (['lattice', '--n', '5'], ['lattice', '--n', '5', '--format', 'json'],\n"
+        f"             ['fuse', '--scenario', {str(doc)!r}, '--decide'],\n"
+        f"             ['fuse', '--scenario', {str(doc)!r}, '--decide', '--format', 'json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--rule", "dsm_hybrid"], ["--compare"]],
