@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 parse or validation error, 3 rule error,
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
 from .lattice import Frame, Model
@@ -128,14 +128,11 @@ def _cmd_lattice(args):
 def _stream_lattice_json(frame, model):
     """Write the listing as it is produced, matching json.dumps(doc, indent=2)."""
     out = sys.stdout
-    head = json.dumps({"frame": list(frame.labels), "model": _model_doc(model)},
-                      indent=2)
-    out.write(head[:-2])
-    out.write(',\n  "elements": [')
+    out.write("{\n" + ",\n".join(_json_head(frame, model)) + ',\n  "elements": [')
     count = 0
     sep = "\n"
     for e, c in _lattice_rows(model):
-        out.write(f'{sep}    {{\n      "index": {count},\n      "expression": {json.dumps(e)},\n'
+        out.write(f'{sep}    {{\n      "index": {count},\n      "expression": {_json_str(e)},\n'
                   f'      "cardinality": {c}\n    }}')
         sep = ",\n"
         count += 1
@@ -171,58 +168,98 @@ def _fmt(value, precision):
     return format_set(value, precision)
 
 
-def _json_value(value, precision):
-    if isinstance(value, float):
-        return value if precision is None else round(value, precision)
-    if isinstance(value, NeutrosophicTriple):
-        return [_json_value(v, precision) for v in value.as_points()]
-    return format_set(value, precision)
-
-
-def _model_doc(model):
-    return {
-        "kind": model.kind,
-        "constraints": [c.expr(style="ascii") for c in model.constraints],
-    }
-
-
 def _rows(items, precision, renderer):
     """Rendered values keyed by each element's canonical expression."""
     return {el.expr(style="ascii"): renderer(v, precision) for el, v in items}
 
 
+# --- JSON writing ------------------------------------------------------------------
+#
+# Reports and listings are written row by row with the bytes of
+# json.dumps(doc, indent=2), which with an indent runs json's pure-Python
+# encoder: each nesting level indents two more spaces, strings are
+# ASCII-escaped and floats print as float.__repr__.
+
+# the spellings json uses for the floats float.__repr__ prints as nan and inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, precision, pad):
+    """A reported value as JSON nested at indent pad: a float rounded to
+    precision places (None keeps every digit), a triple as an array of its
+    three points, a set as its text."""
+    if isinstance(value, float):
+        text = float.__repr__(value if precision is None else round(value, precision))
+        return _NONFINITE.get(text, text)
+    if isinstance(value, NeutrosophicTriple):
+        inner = pad + "  "
+        return _json_wrap([inner + _json_text(v, precision, inner) for v in value.as_points()],
+                          pad, "[]")
+    return _json_str(format_set(value, precision))
+
+
+def _json_wrap(rows, pad, brackets="{}"):
+    """rows, each already indented one level past pad, as a JSON object or
+    array closed at indent pad."""
+    if not rows:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(rows) + "\n" + pad + brackets[1]
+
+
+def _json_strings(strings, pad):
+    inner = pad + "  "
+    return _json_wrap([inner + _json_str(text) for text in strings], pad, "[]")
+
+
+def _json_rows(items, precision, pad):
+    """Reported values keyed by each element's canonical expression."""
+    inner = pad + "  "
+    rows = {el.expr(style="ascii"): v for el, v in items}
+    return _json_wrap([f"{inner}{_json_str(k)}: {_json_text(v, precision, inner)}"
+                       for k, v in rows.items()], pad)
+
+
+def _json_head(frame, model):
+    """The "frame" and "model" members every JSON document opens with."""
+    constraints = _json_strings([c.expr(style="ascii") for c in model.constraints], "    ")
+    model_doc = _json_wrap([f'    "kind": {_json_str(model.kind)}',
+                            f'    "constraints": {constraints}'], "  ")
+    return [f'  "frame": {_json_strings(frame.labels, "  ")}', f'  "model": {model_doc}']
+
+
+def _json_task(r, precision):
+    """One entry of a report's "tasks" array."""
+    pad = "      "
+    fields = [f'{pad}"rule": {_json_str(r.report.rule if r.report is not None else r.rule)}']
+    if r.error is not None:
+        fields.append(f'{pad}"error": {_json_str(f"{type(r.error).__name__}: {r.error}")}')
+        return "    " + _json_wrap(fields, "    ")
+    warnings = list(r.report.warnings)
+    if r.pignistic is not None:
+        warnings += list(r.pignistic.warnings)
+    fields.append(f'{pad}"mass": {_json_rows(r.report.mass.items(), precision, pad)}')
+    fields.append(f'{pad}"conflict": {_json_text(r.report.conflict, precision, pad)}')
+    fields.append(f'{pad}"warnings": {_json_strings(warnings, pad)}')
+    if r.bel is not None:
+        fields.append(f'{pad}"bel": {_json_rows(r.bel.items(), precision, pad)}')
+        fields.append(f'{pad}"pl": {_json_rows(r.pl.items(), precision, pad)}')
+    if r.pignistic is not None:
+        fields.append(f'{pad}"pignistic": {_json_rows(r.pignistic.items(), precision, pad)}')
+    if r.decision is not None:
+        inner = pad + "  "
+        decision = [f'{inner}"choice": {_json_str(r.decision.choice.expr(style="ascii"))}',
+                    f'{inner}"score": {_json_text(r.decision.score, precision, inner)}',
+                    f'{inner}"tie": {"true" if r.decision.tie else "false"}']
+        fields.append(f'{pad}"decision": {_json_wrap(decision, pad)}')
+    return "    " + _json_wrap(fields, "    ")
+
+
 # --- fuse rendering ---------------------------------------------------------------
 
 def _render_json(scenario, results, precision):
-    tasks = []
-    for r in results:
-        entry = {"rule": r.report.rule if r.report is not None else r.rule}
-        if r.error is not None:
-            entry["error"] = f"{type(r.error).__name__}: {r.error}"
-            tasks.append(entry)
-            continue
-        entry["mass"] = _rows(r.report.mass.items(), precision, _json_value)
-        entry["conflict"] = _json_value(r.report.conflict, precision)
-        entry["warnings"] = list(r.report.warnings)
-        if r.bel is not None:
-            entry["bel"] = _rows(r.bel.items(), precision, _json_value)
-            entry["pl"] = _rows(r.pl.items(), precision, _json_value)
-        if r.pignistic is not None:
-            entry["pignistic"] = _rows(r.pignistic.items(), precision, _json_value)
-            entry["warnings"] += list(r.pignistic.warnings)
-        if r.decision is not None:
-            entry["decision"] = {
-                "choice": r.decision.choice.expr(style="ascii"),
-                "score": _json_value(r.decision.score, precision),
-                "tie": r.decision.tie,
-            }
-        tasks.append(entry)
-    doc = {
-        "frame": list(scenario.frame.labels),
-        "model": _model_doc(scenario.model),
-        "tasks": tasks,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    tasks = _json_wrap([_json_task(r, precision) for r in results], "  ", "[]")
+    head = _json_head(scenario.frame, scenario.model)
+    return _json_wrap(head + [f'  "tasks": {tasks}'], "") + "\n"
 
 
 def _render_table(scenario, results, precision):

@@ -41,6 +41,12 @@ def _atoms(n):
                  for j in range(n))
 
 
+@lru_cache(maxsize=32)
+def _label_atoms(labels):
+    """Atom bitset of each label of a frame."""
+    return dict(zip(labels, _atoms(len(labels))))
+
+
 def _close_up(n, bits):
     """bits with every part containing one of its parts switched on."""
     for j, atom in enumerate(_atoms(n)):
@@ -150,7 +156,7 @@ class LatticeElement:
         return self.frame == other.frame and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.frame, self.bits))
+        return hash(self.bits)
 
     def _check_mate(self, other):
         if not isinstance(other, LatticeElement):

@@ -19,8 +19,11 @@ tuples a triple mass. Focal elements use the expression grammar
     term   := factor ("&" factor)*
     factor := label | "(" expr ")"
 
-with "&" meaning intersection and "|" union. JSON carries the same schema
-(see from_json_dict); parse_scenario(emit_scenario(s)) == s when tasks name their rule.
+with "&" (or "∩") meaning intersection and "|" (or "∪") union. A label is
+[A-Za-z_][A-Za-z0-9_]*, and whitespace between tokens is ignored. A task
+line takes "decide" and the options norm=... and s3=...; any other word is
+refused. JSON carries the same schema (see from_json_dict);
+parse_scenario(emit_scenario(s)) == s when tasks name their rule.
 """
 
 import json
@@ -31,11 +34,18 @@ from . import neutro, rules
 from .decision import decide as decide_fn
 from .decision import bel, gpt, pl
 from .errors import DsmError, ParseError, ValidationError
-from .lattice import Frame, LatticeElement, Model
+from .lattice import Frame, LatticeElement, Model, _label_atoms
 from .mass import ImpreciseMass, PreciseMass, SubunitarySet, format_set, parse_set
 from .neutro import NeutrosophicTriple, TripleMass
 
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one match per token: group 1 is the label or operator, "" for any other
+# non-space character
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[&|()∩∪])|\S")
+# tokens that are not labels, with their spelling in error messages
+_NOT_LABELS = {"&": "&", "∩": "&", "|": "|", "∪": "|", ")": ")", None: None}
+_MEETS = ("&", "∩")
+_JOINS = ("|", "∪")
+_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b\s*:?")
 
 # deepest parenthesis nesting parse_element accepts: it recurses per level
@@ -46,75 +56,79 @@ MAX_NESTING = 100
 
 def parse_element(frame, text, line=None):
     """Expression over the frame's labels with & (meet), | (join), parens."""
-    tokens = _tokenize(text, line)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else (None, len(text))
-
-    def take():
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def factor():
-        tok, col = take()
-        if tok == "(":
-            x = expr()
-            closing, ccol = take()
-            if closing != ")":
-                raise ParseError("expected closing parenthesis", line, ccol + 1)
-            return x
-        if tok in ("&", "|", ")", None):
-            raise ParseError(f"expected a hypothesis label, got {tok!r}", line, col + 1)
-        try:
-            return frame.atom_by_label(tok)
-        except DsmError:
-            raise ParseError(f"unknown hypothesis {tok!r}", line, col + 1) from None
-
-    def term():
-        x = factor()
-        while peek()[0] == "&":
-            take()
-            x = x & factor()
-        return x
-
-    def expr():
-        x = term()
-        while peek()[0] == "|":
-            take()
-            x = x | term()
-        return x
-
-    out = expr()
-    tok, col = peek()
-    if tok is not None:
-        raise ParseError(f"unexpected {tok!r}", line, col + 1)
-    return out
-
-
-def _tokenize(text, line):
-    tokens = []
-    i = depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "&|()∩∪":
-            tokens.append(({"∩": "&", "∪": "|"}.get(ch, ch), i))
-            depth += (ch == "(") - (ch == ")")
-            if depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, i + 1)
-            i += 1
-        else:
-            m = _LABEL_RE.match(text, i)
-            if not m:
-                raise ParseError(f"bad character {ch!r} in expression", line, i + 1)
-            tokens.append((m.group(0), i))
-            i = m.end()
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("empty expression", line)
-    return tokens
+    if "" in tokens or text.count("(") > MAX_NESTING:
+        _check_characters(text, line)
+    tokens.append(None)
+    try:
+        bits, pos = _expr(tokens, _label_atoms(frame.labels), 0)
+        if tokens[pos] is not None:
+            raise _Malformed(f"unexpected {_NOT_LABELS.get(tokens[pos], tokens[pos])!r}", pos)
+    except _Malformed as exc:
+        message, k = exc.args
+        raise ParseError(message, line, _column(text, k) + 1) from None
+    return LatticeElement(frame, bits)
+
+
+class _Malformed(Exception):
+    """(message, token index) of a grammar error; parse_element adds the column."""
+
+
+# The grammar on atom bitsets: each rule takes the token list (None-terminated),
+# the label -> atom table and a token index, and returns (bits, next index).
+
+def _expr(tokens, atoms, pos):
+    bits, pos = _term(tokens, atoms, pos)
+    while tokens[pos] in _JOINS:
+        x, pos = _term(tokens, atoms, pos + 1)
+        bits |= x
+    return bits, pos
+
+
+def _term(tokens, atoms, pos):
+    bits, pos = _factor(tokens, atoms, pos)
+    while tokens[pos] in _MEETS:
+        x, pos = _factor(tokens, atoms, pos + 1)
+        bits &= x
+    return bits, pos
+
+
+def _factor(tokens, atoms, pos):
+    tok = tokens[pos]
+    if tok == "(":
+        bits, pos = _expr(tokens, atoms, pos + 1)
+        if tokens[pos] != ")":
+            raise _Malformed("expected closing parenthesis", pos)
+        return bits, pos + 1
+    if tok in _NOT_LABELS:
+        raise _Malformed(f"expected a hypothesis label, got {_NOT_LABELS[tok]!r}", pos)
+    bits = atoms.get(tok)
+    if bits is None:
+        raise _Malformed(f"unknown hypothesis {tok!r}", pos)
+    return bits, pos + 1
+
+
+def _column(text, k):
+    """0-based column of token k of text; the end of text past the last token."""
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        if j == k:
+            return m.start()
+    return len(text)
+
+
+def _check_characters(text, line):
+    """Raise on the first character that is no token, or the first
+    parenthesis nested deeper than MAX_NESTING."""
+    depth = 0
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group(1)
+        if not tok:
+            raise ParseError(f"bad character {m.group(0)!r} in expression", line, m.start() + 1)
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, m.start() + 1)
 
 
 # --- scenario data -------------------------------------------------------------
@@ -257,7 +271,7 @@ def _parse_value(value_text, lineno):
         except ValueError:
             raise ParseError(f"bad triple {text!r}", lineno) from None
         return "triple", NeutrosophicTriple.of(t, i, f)
-    if re.fullmatch(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", text):
+    if _NUMBER_RE.fullmatch(text):
         return "precise", float(text)
     try:
         return "imprecise", parse_set(text)
@@ -304,11 +318,11 @@ def _parse_task(tokens, lineno=None):
     params = {}
     decide = False
     for tok in tokens[1:]:
+        key, eq, value = tok.partition("=")
         if tok == "decide":
             decide = True
-        elif "=" in tok:
-            k, v = tok.split("=", 1)
-            params[k] = v
+        elif eq and key in _TASK_OPTIONS:
+            params[key] = value
         else:
             raise ParseError(f"unknown task option {tok!r}", lineno)
     if head == "compare":
@@ -445,6 +459,8 @@ def _emit_value(v):
 COMPARE_RULES = ("dsm_classic", "dempster", "smets", "yager", "dubois_prade", "dsm_hybrid")
 
 _S3_VALUES = {"components": rules.S3_COMPONENTS, "union": rules.S3_UNION}
+# the task parameters _dispatch reads; a task line naming any other is refused
+_TASK_OPTIONS = ("norm", "s3")
 
 
 @dataclass

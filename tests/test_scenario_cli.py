@@ -1,16 +1,21 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmfuse import cli
-from dsmfuse.errors import ParseError, ValidationError
-from dsmfuse.lattice import Frame, Model, dsm_cardinality
-from dsmfuse.mass import ImpreciseMass, PreciseMass, parse_set
+from dsmfuse.decision import DecisionResult, PignisticDistribution
+from dsmfuse.errors import DsmError, ParseError, TotalConflict, ValidationError
+from dsmfuse.lattice import Frame, LatticeElement, Model, dsm_cardinality
+from dsmfuse.mass import ImpreciseMass, PreciseMass, format_set, parse_set
 from dsmfuse.neutro import NeutrosophicTriple, TripleMass
+from dsmfuse.rules import FusionReport
 from dsmfuse.scenario import (
     MAX_NESTING,
     Scenario,
@@ -20,6 +25,7 @@ from dsmfuse.scenario import (
     load_scenario,
     parse_element,
     parse_scenario,
+    TaskResult,
     run,
 )
 
@@ -73,6 +79,127 @@ def test_expression_errors_carry_positions():
         parse_element(f, "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1))
 
 
+_REF_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def ref_parse_element(frame, text, line=None):
+    """The expression parser as first written: a per-character tokenizer and
+    a recursive descent that builds one LatticeElement per operator."""
+    tokens = ref_tokenize(text, line)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else (None, len(text))
+
+    def take():
+        tok = peek()
+        pos[0] += 1
+        return tok
+
+    def factor():
+        tok, col = take()
+        if tok == "(":
+            x = expr()
+            closing, ccol = take()
+            if closing != ")":
+                raise ParseError("expected closing parenthesis", line, ccol + 1)
+            return x
+        if tok in ("&", "|", ")", None):
+            raise ParseError(f"expected a hypothesis label, got {tok!r}", line, col + 1)
+        try:
+            return frame.atom_by_label(tok)
+        except DsmError:
+            raise ParseError(f"unknown hypothesis {tok!r}", line, col + 1) from None
+
+    def term():
+        x = factor()
+        while peek()[0] == "&":
+            take()
+            x = x & factor()
+        return x
+
+    def expr():
+        x = term()
+        while peek()[0] == "|":
+            take()
+            x = x | term()
+        return x
+
+    out = expr()
+    tok, col = peek()
+    if tok is not None:
+        raise ParseError(f"unexpected {tok!r}", line, col + 1)
+    return out
+
+
+def ref_tokenize(text, line):
+    tokens = []
+    i = depth = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "&|()∩∪":
+            tokens.append(({"∩": "&", "∪": "|"}.get(ch, ch), i))
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, i + 1)
+            i += 1
+        else:
+            m = _REF_LABEL_RE.match(text, i)
+            if not m:
+                raise ParseError(f"bad character {ch!r} in expression", line, i + 1)
+            tokens.append((m.group(0), i))
+            i = m.end()
+    if not tokens:
+        raise ParseError("empty expression", line)
+    return tokens
+
+
+ORACLE_FRAME = Frame(("a", "b", "th1", "_x2"))
+EXPRESSION_PIECES = ["a", "b", "th1", "_x2", "zz", "th", "a1", "&", "|", "(", ")", "∩", "∪",
+                     " ", "  ", "\t", "\u00a0", "1", "é", "!"]
+
+
+def _labelled(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from([" & ", "&", " | ", "|", " ∩ ", "∪"]), children)
+        .map("".join),
+        children.map(lambda x: f"({x})"),
+    )
+
+
+VALID_EXPRESSIONS = st.recursive(st.sampled_from(["a", "b", "th1", "_x2", "zz"]), _labelled,
+                                 max_leaves=8)
+
+
+def _insert(args):
+    text, piece, k = args
+    k %= len(text) + 1
+    return text[:k] + piece + text[k:]
+
+
+def _parse_outcome(parser, text):
+    try:
+        return "element", parser(ORACLE_FRAME, text, line=4)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=12).map("".join),
+    st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=8).map(" ".join),
+    VALID_EXPRESSIONS,
+    st.tuples(VALID_EXPRESSIONS, st.sampled_from(EXPRESSION_PIECES), st.integers(0, 99)).map(_insert),
+    st.tuples(st.integers(95, 106), VALID_EXPRESSIONS, st.integers(95, 106))
+    .map(lambda t: "(" * t[0] + t[1] + ")" * t[2]),
+))
+def test_expression_parser_matches_the_reference(text):
+    # the same element, or the same message at the same line and column
+    assert _parse_outcome(parse_element, text) == _parse_outcome(ref_parse_element, text)
+
+
 # --- document parsing --------------------------------------------------------------
 
 def test_parse_scenario_sections():
@@ -119,6 +246,7 @@ def test_open_interval_versus_triple():
     ("frame: a b\nconstraint: a = 1\n", "= 0"),
     ("frame: a b\ntask:\n", "empty task"),
     ("frame: a b\ntask: dempster speed=11 bogus\n", "unknown task option"),
+    ("frame: a b\ntask: tnorm nrom=min\n", "unknown task option 'nrom=min'"),
 ])
 def test_document_parse_errors(text, needle):
     with pytest.raises(ParseError) as err:
@@ -343,6 +471,103 @@ def test_json_report_shape(capsys):
     assert json.dumps(doc) == json.dumps(json.loads(golden("three_sources.json")))
 
 
+def ref_json_value(value, precision):
+    if isinstance(value, float):
+        return value if precision is None else round(value, precision)
+    if isinstance(value, NeutrosophicTriple):
+        return [ref_json_value(v, precision) for v in value.as_points()]
+    return format_set(value, precision)
+
+
+def ref_render_json(scenario, results, precision):
+    """The JSON report as first written: one document through json.dumps."""
+    def rows(items):
+        return {el.expr(style="ascii"): ref_json_value(v, precision) for el, v in items}
+
+    tasks = []
+    for r in results:
+        entry = {"rule": r.report.rule if r.report is not None else r.rule}
+        if r.error is not None:
+            entry["error"] = f"{type(r.error).__name__}: {r.error}"
+            tasks.append(entry)
+            continue
+        entry["mass"] = rows(r.report.mass.items())
+        entry["conflict"] = ref_json_value(r.report.conflict, precision)
+        entry["warnings"] = list(r.report.warnings)
+        if r.bel is not None:
+            entry["bel"] = rows(r.bel.items())
+            entry["pl"] = rows(r.pl.items())
+        if r.pignistic is not None:
+            entry["pignistic"] = rows(r.pignistic.items())
+            entry["warnings"] += list(r.pignistic.warnings)
+        if r.decision is not None:
+            entry["decision"] = {
+                "choice": r.decision.choice.expr(style="ascii"),
+                "score": ref_json_value(r.decision.score, precision),
+                "tie": r.decision.tie,
+            }
+        tasks.append(entry)
+    doc = {
+        "frame": list(scenario.frame.labels),
+        "model": {"kind": scenario.model.kind,
+                  "constraints": [c.expr(style="ascii") for c in scenario.model.constraints]},
+        "tasks": tasks,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def fuse_reports(draw):
+    """A scenario and its task results: escaped labels and messages, empty
+    maps, error entries, decisions, set and triple values, NaN and
+    infinite floats."""
+    labels = draw(st.lists(st.sampled_from(["a", "é", 'q"x', "b_1", "\\"]),
+                           min_size=1, max_size=3, unique=True))
+    frame = Frame(tuple(labels))
+    kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
+    if frame.n < 2 and kind == "hybrid":
+        kind = "free"
+    model = Model(frame, kind, [frame.atom(1) & frame.atom(2)] if kind == "hybrid" else [])
+    elements = st.integers(0, (1 << frame.part_count) - 1).map(
+        lambda bits: LatticeElement(frame, bits))
+    floats = st.one_of(st.floats(), st.floats(0, 1),
+                       st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300]))
+    values = st.one_of(
+        floats,
+        st.sampled_from(["{0.25}", "[0.1,0.2]u{0.3}", "(0.1,0.9)", "{0.123456789}"]).map(parse_set),
+        st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
+        .map(lambda t: NeutrosophicTriple.of(*t)),
+    )
+    texts = st.lists(st.text(st.sampled_from('aé"\\\n\t€ '), max_size=6), max_size=2)
+
+    def table(value_strategy):
+        return dict(draw(st.lists(st.tuples(elements, value_strategy), max_size=5)))
+
+    results = []
+    for _ in range(draw(st.integers(0, 3))):
+        rule = draw(st.sampled_from(["dsm_hybrid", "dempster", 'r"é']))
+        task = Task("fuse", rule)
+        if draw(st.booleans()):
+            results.append(TaskResult(task, rule, error=TotalConflict(" ".join(draw(texts)))))
+            continue
+        report = FusionReport(rule, model, table(values), draw(values), tuple(draw(texts)))
+        result = TaskResult(task, rule, report=report)
+        if draw(st.booleans()):
+            result.bel, result.pl = table(floats), table(floats)
+            result.pignistic = PignisticDistribution(model, table(floats), tuple(draw(texts)))
+            result.decision = DecisionResult(draw(elements), draw(floats), draw(st.booleans()), ())
+        results.append(result)
+    return Scenario(frame, model, (), ()), results
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuse_reports(), st.one_of(st.none(), st.integers(0, 8)))
+def test_json_report_writer_matches_json_dumps(report, precision):
+    scenario, results = report
+    assert cli._render_json(scenario, results, precision) == \
+        ref_render_json(scenario, results, precision)
+
+
 def test_precision_flag(capsys):
     cli.main(["fuse", "--scenario", fixture("three_sources.dsm"),
               "--rule", "dempster", "--precision", "3"])
@@ -400,7 +625,9 @@ def test_exit_codes(tmp_path, capsys):
                 {"frame": ["a", "b"], "sources": two, "tasks": [{"params": "x"}]},
                 {"frame": "ab", "sources": two},
                 {"frame": ["a", "b"], "sources": [{"mass": {"a": True}}, two[1]]},
-                {"frame": ["a", "b"], "sources": [{"mass": {"a": 10 ** 400}}, two[1]]}):
+                {"frame": ["a", "b"], "sources": [{"mass": {"a": 10 ** 400}}, two[1]]},
+                {"frame": ["a", "b"], "sources": two,
+                 "tasks": [{"rule": "tnorm", "params": {"nrom": "min"}}]}):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(doc))
         assert cli.main(["fuse", "--scenario", str(malformed)]) == 2
