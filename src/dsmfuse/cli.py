@@ -207,6 +207,7 @@ def _json_wrap(rows, pad, brackets="{}"):
 
 
 def _json_strings(strings, pad):
+    """strings as a JSON array closed at indent pad."""
     inner = pad + "  "
     return _json_wrap([inner + _json_str(text) for text in strings], pad, "[]")
 

@@ -143,6 +143,9 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
 
     for fact, v in first:
         descend(fact, v, middle)
+    # descend refers to itself; unbinding it frees the walk's tables now
+    # instead of at the next cyclic garbage collection
+    del descend
     return {LatticeElement(sources[0].frame, k): v for k, v in acc.items()}, conflict, lost
 
 
