@@ -212,12 +212,14 @@ def _json_strings(strings, pad):
     return _json_wrap([inner + _json_str(text) for text in strings], pad, "[]")
 
 
-def _json_rows(items, precision, pad):
-    """Reported values keyed by each element's canonical expression."""
+def _json_rows(table, precision, pad):
+    """A table's values keyed by each element's canonical expression. Its
+    item list and the keyed dict are freed before the rows are joined: a
+    pignistic table can have thousands of rows."""
     inner = pad + "  "
-    rows = {el.expr(style="ascii"): v for el, v in items}
-    return _json_wrap([f"{inner}{_json_str(k)}: {_json_text(v, precision, inner)}"
-                       for k, v in rows.items()], pad)
+    rows = [f"{inner}{_json_str(k)}: {_json_text(v, precision, inner)}"
+            for k, v in {el.expr(style="ascii"): v for el, v in table.items()}.items()]
+    return _json_wrap(rows, pad)
 
 
 def _json_head(frame, model):
@@ -238,14 +240,14 @@ def _json_task(r, precision):
     warnings = list(r.report.warnings)
     if r.pignistic is not None:
         warnings += list(r.pignistic.warnings)
-    fields.append(f'{pad}"mass": {_json_rows(r.report.mass.items(), precision, pad)}')
+    fields.append(f'{pad}"mass": {_json_rows(r.report.mass, precision, pad)}')
     fields.append(f'{pad}"conflict": {_json_text(r.report.conflict, precision, pad)}')
     fields.append(f'{pad}"warnings": {_json_strings(warnings, pad)}')
     if r.bel is not None:
-        fields.append(f'{pad}"bel": {_json_rows(r.bel.items(), precision, pad)}')
-        fields.append(f'{pad}"pl": {_json_rows(r.pl.items(), precision, pad)}')
+        fields.append(f'{pad}"bel": {_json_rows(r.bel, precision, pad)}')
+        fields.append(f'{pad}"pl": {_json_rows(r.pl, precision, pad)}')
     if r.pignistic is not None:
-        fields.append(f'{pad}"pignistic": {_json_rows(r.pignistic.items(), precision, pad)}')
+        fields.append(f'{pad}"pignistic": {_json_rows(r.pignistic, precision, pad)}')
     if r.decision is not None:
         inner = pad + "  "
         decision = [f'{inner}"choice": {_json_str(r.decision.choice.expr(style="ascii"))}',
