@@ -20,12 +20,12 @@ from dsmfuse.scenario import (
     MAX_NESTING,
     Scenario,
     Task,
+    TaskResult,
     emit_scenario,
     from_json_dict,
     load_scenario,
     parse_element,
     parse_scenario,
-    TaskResult,
     run,
 )
 
