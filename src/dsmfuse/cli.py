@@ -168,11 +168,6 @@ def _fmt(value, precision):
     return format_set(value, precision)
 
 
-def _rows(items, precision, renderer):
-    """Rendered values keyed by each element's canonical expression."""
-    return {el.expr(style="ascii"): renderer(v, precision) for el, v in items}
-
-
 # --- JSON writing ------------------------------------------------------------------
 #
 # Reports and listings are written row by row with the bytes of
@@ -213,9 +208,9 @@ def _json_strings(strings, pad):
 
 
 def _json_rows(table, precision, pad):
-    """A table's values keyed by each element's canonical expression. Its
-    item list and the keyed dict are freed before the rows are joined: a
-    pignistic table can have thousands of rows."""
+    """A table's values keyed by each element's canonical expression. The
+    keyed dict is freed before the rows are joined: a pignistic table can
+    have thousands of rows."""
     inner = pad + "  "
     rows = [f"{inner}{_json_str(k)}: {_json_text(v, precision, inner)}"
             for k, v in {el.expr(style="ascii"): v for el, v in table.items()}.items()]
@@ -287,7 +282,7 @@ def _single_block(r, precision):
     if r.error is not None:
         lines.append(f"error: {type(r.error).__name__}: {r.error}")
         return lines
-    rows = _rows(r.report.mass.items(), precision, _fmt)
+    rows = {el.expr(style="ascii"): _fmt(v, precision) for el, v in r.report.mass.items()}
     pignistic = [] if r.pignistic is None else \
         [(el.expr(style="ascii"), _fmt(v, precision)) for el, v in r.pignistic.items()]
     width = max([len(k) for k in rows] + [len(k) for k, _ in pignistic] + [7])

@@ -82,7 +82,7 @@ class PignisticDistribution:
         return self.values[self.model.reduce(element)]
 
     def items(self):
-        return list(self.values.items())
+        return self.values.items()
 
 
 def _spread(model, m, zero_cardinality):

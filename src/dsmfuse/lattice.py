@@ -19,6 +19,7 @@ under a model clears its dead parts; two elements are equal under the model
 when their reduced bitsets are equal.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -245,53 +246,56 @@ def upward_closure(x):
     return LatticeElement(x.frame, _close_up(x.frame.n, x.bits))
 
 
-def _monotone_masks(n):
-    """Bitmasks of all monotone 0/1 functions on subsets of an n-element set.
-
-    Built by the doubling recurrence: a monotone function on n+1 generators
-    is an ordered pair (low, high) of monotone functions on n generators
-    with low pointwise below high.
-    """
-    masks = [0, 1]
-    width = 1
-    for step in range(n):
-        if len(masks) >= 1000 and step == n - 1:
-            masks = _monotone_pairs_vectorized(masks, width)
-        else:
-            masks = [lo | (hi << width) for hi in masks for lo in masks if lo & ~hi == 0]
-        width <<= 1
-    return masks
-
-def _monotone_pairs_vectorized(masks, width):
-    import numpy as np
-
-    arr = np.array(masks, dtype=np.uint64)
-    full = np.uint64((1 << width) - 1)
-    shift = np.uint64(width)
+def _inside(width, x):
+    """The monotone masks of the given width inside the monotone mask x, in
+    increasing order. Bit s of a mask is its value on subset s, so a mask is
+    a pair (lo, hi) of half-width ones with lo inside hi; here hi lies inside
+    x's high half and lo inside both hi and x's low half."""
+    if width <= 1:
+        return (0, 1) if x else (0,)
+    half = width >> 1
     out = []
-    for hi in masks:
-        comp = np.uint64(hi) ^ full
-        lows = arr[(arr & comp) == 0]
-        out.append(lows | (np.uint64(hi) << shift))
-    return [int(v) for chunk in out for v in chunk]
+    for hi in _inside_memo(half, x >> half):
+        shifted = hi << half
+        out += [lo | shifted for lo in _inside_memo(half, x & hi)]
+    return out
+
+
+_inside_memo = cache(_inside)  # tables under _free_table's top two levels: under 200
+
+
+@cache
+def _free_table(n):
+    """Bitsets of every element over n hypotheses in (part count, bit
+    pattern) order, a read-only view of one array('Q') built once per n: the
+    monotone masks of width 2**n with the empty subset false, shifted past
+    its bit. They stream in increasing order, so each bucket fills sorted."""
+    half = 1 << n >> 1
+    top = (1 << (1 << n)) - 2  # every subset but the empty one
+    buckets = [array("Q") for _ in range(1 << n)]
+    for hi in _inside(half, top >> half):
+        shifted = hi << half
+        for lo in _inside(half, top & hi):
+            bits = (lo | shifted) >> 1
+            buckets[bits.bit_count()].append(bits)
+    table = array("Q")
+    for bucket in buckets:
+        table += bucket
+    return memoryview(table).toreadonly()
 
 
 def enumerate_bitsets(n):
-    """Bitsets of every lattice element over n hypotheses, sorted by
-    (part count, bit pattern). The empty element comes first."""
+    """A fresh list of the bitsets of every lattice element over n
+    hypotheses, sorted by (part count, bit pattern): the empty one first."""
     if n > MAX_FRAME_SIZE:
         raise FrameTooLarge(f"enumeration capped at {MAX_FRAME_SIZE} hypotheses")
-    # Drop the single function that marks the empty part (it forces all
-    # parts present), then shift the empty-part bit away.
-    bitsets = [h >> 1 for h in _monotone_masks(n) if not h & 1]
-    bitsets.sort(key=lambda b: (b.bit_count(), b))
-    return bitsets
+    return list(_free_table(n))
 
 
 def enumerate_hyper_power_set(frame):
     """All distinct elements over the frame, empty element first, in
     deterministic (cardinality, bit pattern) order."""
-    return [LatticeElement(frame, b) for b in enumerate_bitsets(frame.n)]
+    return [LatticeElement(frame, b) for b in _free_table(frame.n)]
 
 
 class Model:
@@ -369,19 +373,16 @@ class Model:
         return _overlaps(self.frame.n) & ~self.emptied == 0
 
     def iter_alive_elements(self):
-        """Yield distinct reduced elements, deterministic order, empty first.
-
-        Not a stream: enumerate_bitsets builds the whole free list first
-        (7,828,353 ints, about 1.1 GB, at six hypotheses) and a reduced
-        model also keeps a set of the reduced bitsets seen.
-        """
+        """Yield distinct reduced elements, deterministic order, empty first,
+        walking the free table of the frame size (63 MB at six hypotheses);
+        a reduced model also keeps a set of the reduced bitsets seen."""
         if self.emptied == 0:
             # nothing to reduce, so the free enumeration is already distinct
-            for b in enumerate_bitsets(self.frame.n):
+            for b in _free_table(self.frame.n):
                 yield LatticeElement(self.frame, b)
             return
         seen = set()
-        for b in enumerate_bitsets(self.frame.n):
+        for b in _free_table(self.frame.n):
             r = b & ~self.emptied
             if r not in seen:
                 seen.add(r)

@@ -323,10 +323,6 @@ def format_set(s, precision=None, style="ascii"):
 
 # --- mass functions ----------------------------------------------------------
 
-def _sort_key(element):
-    return (element.bits.bit_count(), element.bits)
-
-
 class _MassBase:
     __slots__ = ("frame", "_masses", "allows_empty_focal")
 
@@ -339,7 +335,8 @@ class _MassBase:
                 raise FrameMismatch("focal element belongs to a different frame")
             store[el] = value
         object.__setattr__(
-            self, "_masses", dict(sorted(store.items(), key=lambda kv: _sort_key(kv[0])))
+            self, "_masses",
+            dict(sorted(store.items(), key=lambda kv: (kv[0].bits.bit_count(), kv[0].bits)))
         )
 
     def __setattr__(self, name, value):

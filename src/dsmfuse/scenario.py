@@ -21,8 +21,8 @@ tuples a triple mass. Focal elements use the expression grammar
 
 with "&" (or "∩") meaning intersection and "|" (or "∪") union. A label is
 [A-Za-z_][A-Za-z0-9_]*, and whitespace between tokens is ignored. A task
-line takes "decide" and the options norm=... and s3=...; any other word is
-refused. JSON carries the same schema (see from_json_dict);
+line takes "decide" and the norm=... and s3=... options its rule reads; any
+other word is refused. JSON carries the same schema (see from_json_dict);
 parse_scenario(emit_scenario(s)) == s when tasks name their rule.
 """
 
@@ -250,14 +250,18 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
         if mass is not None:
             sources.append((name, mass))
 
-    tasks = []
-    for tokens, lineno in task_specs:
-        tasks.append(_parse_task(tokens, lineno))
+    tasks = [_parse_task(tokens, lineno) for tokens, lineno in task_specs]
 
     if problems:
         raise ValidationError(problems)
     model = Model(frame, model_kind, constraints)
-    return Scenario(frame, model, tuple(sources), tuple(tasks))
+    scenario = Scenario(frame, model, tuple(sources), tuple(tasks))
+    for task, (_, lineno) in zip(tasks, task_specs):
+        rid = "compare" if task.kind == "compare" else task.rule or default_rule(scenario)
+        for key, _ in task.params:
+            if rid not in _OPTION_READERS[key]:
+                raise ParseError(f"rule {rid!r} does not read the task option {key!r}", lineno)
+    return scenario
 
 
 def _parse_value(value_text, lineno):
@@ -321,7 +325,7 @@ def _parse_task(tokens, lineno=None):
         key, eq, value = tok.partition("=")
         if tok == "decide":
             decide = True
-        elif eq and key in _TASK_OPTIONS:
+        elif eq and key in _OPTION_READERS:
             params[key] = value
         else:
             raise ParseError(f"unknown task option {tok!r}", lineno)
@@ -459,8 +463,12 @@ def _emit_value(v):
 COMPARE_RULES = ("dsm_classic", "dempster", "smets", "yager", "dubois_prade", "dsm_hybrid")
 
 _S3_VALUES = {"components": rules.S3_COMPONENTS, "union": rules.S3_UNION}
-# the task parameters _dispatch reads; a task line naming any other is refused
-_TASK_OPTIONS = ("norm", "s3")
+# the rules _dispatch hands each task option to ("compare" via dsm_hybrid)
+_OPTION_READERS = {
+    "norm": {"tnorm", "tconorm", "nnorm", "nnorm_fusion", "nconorm", "nconorm_fusion"},
+    "s3": {"dsm_hybrid", "dsm_hybrid_imprecise", "dsmh_improved", "tnorm", "nnorm",
+           "nnorm_fusion", "compare"},
+}
 
 
 @dataclass
@@ -476,10 +484,8 @@ class TaskResult:
 
 
 def default_rule(scenario):
-    kind = scenario.source_kind
-    if kind == "TripleMass":
-        return "nnorm"
-    return "dsm_hybrid"
+    """The rule of a task that names none: nnorm on triple sources, else dsm_hybrid."""
+    return "nnorm" if scenario.source_kind == "TripleMass" else "dsm_hybrid"
 
 
 def run(scenario, rule=None, compare=False, decide=False, s3=None):

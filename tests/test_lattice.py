@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import os
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -42,10 +45,42 @@ def test_element_counts(n, count):
     assert len(enumerate_bitsets(n)) == count
 
 
+# SHA-256 of the n=6 enumeration as 8-byte little-endian words, taken from
+# the quadratic doubling below
+SIX_DIGEST = "cff9f06d29405dc7d4695e13adeb3cac173a5a87c58c8b643980e18cce394e7f"
+
+
 @pytest.mark.skipif(not os.environ.get("DSMFUSE_STRESS"),
                     reason="set DSMFUSE_STRESS=1 to enumerate the n=6 lattice")
 def test_element_count_six():
-    assert len(enumerate_bitsets(6)) == 7828353
+    bitsets = array("Q", enumerate_bitsets(6))
+    assert len(bitsets) == 7828353
+    if sys.byteorder == "big":
+        bitsets.byteswap()
+    assert hashlib.sha256(bitsets).hexdigest() == SIX_DIGEST
+
+
+def doubling_bitsets(n):
+    """The enumeration as first written: the quadratic doubling of monotone
+    0/1 functions, then a sort on (part count, bits)."""
+    masks = [0, 1]
+    width = 1
+    for _ in range(n):
+        masks = [lo | (hi << width) for hi in masks for lo in masks if lo & ~hi == 0]
+        width <<= 1
+    bitsets = [h >> 1 for h in masks if not h & 1]
+    bitsets.sort(key=lambda b: (b.bit_count(), b))
+    return bitsets
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumeration_matches_the_doubling_in_order(n):
+    assert enumerate_bitsets(n) == doubling_bitsets(n)
+
+
+def test_enumeration_hands_out_a_copy_of_its_table():
+    enumerate_bitsets(3).clear()
+    assert len(enumerate_bitsets(3)) == 19
 
 
 def brute_force_bitsets(n):

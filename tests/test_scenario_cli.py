@@ -247,6 +247,9 @@ def test_open_interval_versus_triple():
     ("frame: a b\ntask:\n", "empty task"),
     ("frame: a b\ntask: dempster speed=11 bogus\n", "unknown task option"),
     ("frame: a b\ntask: tnorm nrom=min\n", "unknown task option 'nrom=min'"),
+    ("frame: a b\ntask: dempster norm=min\n", "rule 'dempster' does not read the task option 'norm'"),
+    ("frame: a b\ntask: dempster s3=union\n", "rule 'dempster' does not read the task option 's3'"),
+    ("frame: a b\ntask: compare norm=min\n", "rule 'compare' does not read the task option 'norm'"),
 ])
 def test_document_parse_errors(text, needle):
     with pytest.raises(ParseError) as err:
@@ -627,7 +630,9 @@ def test_exit_codes(tmp_path, capsys):
                 {"frame": ["a", "b"], "sources": [{"mass": {"a": True}}, two[1]]},
                 {"frame": ["a", "b"], "sources": [{"mass": {"a": 10 ** 400}}, two[1]]},
                 {"frame": ["a", "b"], "sources": two,
-                 "tasks": [{"rule": "tnorm", "params": {"nrom": "min"}}]}):
+                 "tasks": [{"rule": "tnorm", "params": {"nrom": "min"}}]},
+                {"frame": ["a", "b"], "sources": two,
+                 "tasks": [{"rule": "yager", "params": {"s3": "union"}}]}):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(doc))
         assert cli.main(["fuse", "--scenario", str(malformed)]) == 2
@@ -765,8 +770,8 @@ def test_lattice_table_matches_a_two_pass_writer(tmp_path, capsys):
 
 
 def test_five_hypothesis_requests_do_not_import_numpy(tmp_path):
-    # numpy adds about 12 MB of resident memory; only the six-hypothesis
-    # enumeration may load it
+    # numpy would add about 12 MB of resident memory; the package has no
+    # runtime dependency
     doc = tmp_path / "five.dsm"
     doc.write_text("frame: a b c d e\nmodel: hybrid\nconstraint: a & b = 0\n"
                    "source m1:\n  a = 0.6\n  b | (c & d) = 0.4\n"
@@ -810,3 +815,15 @@ def test_s3_flag_changes_the_report(extra, capsys):
         assert "th1|th2|th3" in components
     finally:
         os.unlink(path)
+
+
+def test_s3_flag_is_not_refused_where_no_rule_reads_it(tmp_path, capsys):
+    # a document may not name an option its rule ignores, but the flag
+    # applies wherever it is read and is never refused
+    doc = tmp_path / "dempster.dsm"
+    doc.write_text("frame: a b\nmodel: shafer\nsource m1:\n  a = 0.6\n  a | b = 0.4\n"
+                   "source m2:\n  b = 0.3\n  a | b = 0.7\ntask: dempster\n")
+    assert cli.main(["fuse", "--scenario", str(doc)]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["fuse", "--scenario", str(doc), "--s3", "union"]) == 0
+    assert capsys.readouterr() == plain
