@@ -12,13 +12,14 @@ Exit codes: 0 success, 2 parse or validation error, 3 rule error,
 import argparse
 import functools
 import sys
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
 from .lattice import Frame, Model
 from .mass import format_set
 from .neutro import NeutrosophicTriple
-from .scenario import COMPARE_RULES, load_scenario, run
+from .scenario import load_scenario, run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -268,11 +269,14 @@ def _render_table(scenario, results, precision):
         model_text += " [" + "; ".join(f"{c.expr(style='ascii')} = 0"
                                        for c in scenario.model.constraints) + "]"
     lines.append("model: " + model_text)
-    if len(results) > 1 and [r.rule for r in results] == list(COMPARE_RULES):
-        lines.extend(_compare_table(results, precision))
-    else:
-        for r in results:
-            lines.extend(_single_block(r, precision))
+    # one compare table per compare task; a fuse task has one result
+    for _, group in groupby(results, key=lambda r: id(r.task)):
+        group = list(group)
+        if group[0].task.kind == "compare":
+            lines.extend(_compare_table(group, precision))
+        else:
+            for r in group:
+                lines.extend(_single_block(r, precision))
     return "\n".join(lines) + "\n"
 
 
@@ -319,7 +323,7 @@ def _compare_table(results, precision):
     per_rule = []
     for r in results:
         if r.error is not None:
-            per_rule.append(None)
+            per_rule.append({})
             continue
         rows = {}
         for el, v in r.report.mass.items():
@@ -330,24 +334,16 @@ def _compare_table(results, precision):
                 order[label] = sort_key
         per_rule.append(rows)
     labels = sorted(order, key=lambda k: order[k])
-    names = [r.rule for r in results]
+    # a column per rule: its name, a cell per label and its conflict
+    columns = [[r.rule, *(rows.get(k, "") for k in labels),
+                "" if r.error is not None else _fmt(r.report.conflict, precision)]
+               for r, rows in zip(results, per_rule)]
+    floor = 0 if precision is None else precision + 2
+    widths = [max(floor, *map(len, column)) for column in columns]
     label_w = max([len(k) for k in labels] + [8])
-    col_w = [max(len(n), precision + 2 if precision else 12) for n in names]
-    header = f"{'element':<{label_w}}"
-    for n, w in zip(names, col_w):
-        header += f"  {n:>{w}}"
-    lines = ["", header]
-    for label in labels:
-        line = f"{label:<{label_w}}"
-        for rows, w in zip(per_rule, col_w):
-            cell = "" if rows is None else rows.get(label, "")
-            line += f"  {cell:>{w}}"
-        lines.append(line)
-    conflict = f"{'conflict':<{label_w}}"
-    for r, w in zip(results, col_w):
-        cell = "" if r.error is not None else _fmt(r.report.conflict, precision)
-        conflict += f"  {cell:>{w}}"
-    lines.append(conflict)
+    lines = [""]
+    for label, cells in zip(["element", *labels, "conflict"], zip(*columns)):
+        lines.append(f"{label:<{label_w}}" + "".join(f"  {c:>{w}}" for c, w in zip(cells, widths)))
     for r in results:
         if r.error is not None:
             lines.append(f"note: {r.rule}: {type(r.error).__name__}: {r.error}")

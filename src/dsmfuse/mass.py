@@ -247,6 +247,7 @@ _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _INTERVAL_RE = re.compile(rf"([\[\(])\s*({_NUM})\s*,\s*({_NUM})\s*([\]\)])")
 _BRACES_RE = re.compile(rf"\{{\s*({_NUM})(?:\s*,\s*({_NUM}))*\s*\}}")
 _POINT_RE = re.compile(rf"({_NUM})")
+_JOIN_RE = re.compile(r"\s*[uU∪]\s*")
 
 
 def parse_set(text):
@@ -256,7 +257,7 @@ def parse_set(text):
     of points, or bare numbers; they are joined with "u" (or the union
     sign). Case of the joiner does not matter.
     """
-    parts = re.split(r"\s*(?:[uU]|∪)\s*", text.strip())
+    parts = _JOIN_RE.split(text.strip())
     pieces = []
     for part in parts:
         part = part.strip()

@@ -184,7 +184,6 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     if len(sources) != 2:
         raise ValidationError([f"{rule} combines exactly 2 sources, got {len(sources)}"])
     model, _ = _prepare(sources, rule, model, TripleMass)
-    model.check_not_degenerate()
     # Exactly two sources, so the kernel always meets two source triples.
     acc, conflict, _ = _walk(
         sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO

@@ -75,8 +75,8 @@ class FusionReport:
 
 def _prepare(sources, rule, model=None, wanted=PreciseMass, exactly=None):
     """Check the sources, each a wanted instance, and the model against
-    their frame. Returns the model (free when none is given) and the
-    warnings."""
+    their frame; a model that empties the whole frame is refused. Returns
+    the model (free when none is given) and the warnings."""
     if len(sources) < 2:
         raise FewerThanTwoSources(f"{rule} needs at least two sources")
     if exactly is not None and len(sources) != exactly:
@@ -94,9 +94,10 @@ def _prepare(sources, rule, model=None, wanted=PreciseMass, exactly=None):
         if wanted is ImpreciseMass and not is_admissible(m):
             warnings.append(f"source {i + 1} is not admissible; fusing anyway")
     if model is None:
-        return Model.free(frame), warnings
-    if model.frame != frame:
+        model = Model.free(frame)
+    elif model.frame != frame:
         raise FrameMismatch("model frame differs from the sources' frame")
+    model.check_not_degenerate()
     return model, warnings
 
 
@@ -226,7 +227,6 @@ def _dsm_rule(rule, model, sources, s3_target):
         rule += "_imprecise"
     wanted = ImpreciseMass if imprecise else PreciseMass
     model, warnings = _prepare(sources, rule, model, wanted)
-    model.check_not_degenerate()
     zero = SubunitarySet.point(0.0) if imprecise else 0.0
     acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), zero=zero)
     return FusionReport(rule, model, wanted(model.frame, acc), conflict, tuple(warnings))
@@ -235,7 +235,6 @@ def _dsm_rule(rule, model, sources, s3_target):
 def dempster(model, sources):
     """Conjunctive consensus normalized by the non-conflicting mass."""
     model, warnings = _prepare(sources, "dempster", model)
-    model.check_not_degenerate()
     alive, dead, _ = _walk(sources, _meet_plan(model))
     if 1.0 - dead <= _NEAR_ZERO:
         raise TotalConflict(f"sources are fully conflicting (k12={dead})")
@@ -248,7 +247,6 @@ def smets(model, sources):
     """Conjunctive consensus with the conflicting mass kept on the empty
     element (open-world reading)."""
     model, warnings = _prepare(sources, "smets", model)
-    model.check_not_degenerate()
     alive, dead, _ = _walk(sources, _meet_plan(model))
     empty = model.frame.empty()
     if dead > 0.0:
@@ -261,7 +259,6 @@ def yager(model, sources):
     """Conjunctive consensus with the conflicting mass moved to total
     ignorance."""
     model, warnings = _prepare(sources, "yager", model)
-    model.check_not_degenerate()
     alive, dead, _ = _walk(sources, _meet_plan(model))
     if dead > 0.0:
         it = model.reduce(model.frame.total_ignorance())
@@ -274,7 +271,6 @@ def dubois_prade(model, sources):
     forbidden ones, drop mass whose union is forbidden too (subnormal
     output plus a warning, no renormalization)."""
     model, warnings = _prepare(sources, "dubois_prade", model, exactly=2)
-    model.check_not_degenerate()
 
     def land(pair):
         x, y = pair
@@ -297,7 +293,6 @@ def disjunctive(sources, model=None):
     """Union consensus: each tuple's mass lands on the join of its focal
     elements."""
     model, warnings = _prepare(sources, "disjunctive", model)
-    model.check_not_degenerate()
     acc, _, _ = _walk(sources, _join_plan(model))
     return FusionReport("disjunctive", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))
@@ -382,7 +377,6 @@ def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
     """Transfer rule with overlap-weighted live mass and difference-weighted
     rerouted mass; the all-forbidden transfer keeps full weight."""
     model, warnings = _prepare(sources, "dsmh_improved", model, exactly=2)
-    model.check_not_degenerate()
     facts, step, route = _transfer_plan(model, s3_target)
 
     def land(pair):
@@ -427,7 +421,6 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
     if norm not in TNORMS:
         raise ValidationError([f"unknown T-norm {norm!r}"])
     model, warnings = _prepare(sources, "tnorm", model, exactly=2)
-    model.check_not_degenerate()
     acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), TNORMS[norm])
     if norm != "algebraic":
         acc, _ = _normalize_acc(acc, f"tnorm[{norm}]")
@@ -441,7 +434,6 @@ def tconorm_fusion(conorm, sources, model=None):
     if conorm not in TCONORMS:
         raise ValidationError([f"unknown T-conorm {conorm!r}"])
     model, warnings = _prepare(sources, "tconorm", model, exactly=2)
-    model.check_not_degenerate()
     acc, _, _ = _walk(sources, _join_plan(model), TCONORMS[conorm])
     acc, _ = _normalize_acc(acc, f"tconorm[{conorm}]")
     return FusionReport(f"tconorm[{conorm}]", model, PreciseMass(model.frame, acc), 0.0,

@@ -20,10 +20,17 @@ tuples a triple mass. Focal elements use the expression grammar
     factor := label | "(" expr ")"
 
 with "&" (or "∩") meaning intersection and "|" (or "∪") union. A label is
-[A-Za-z_][A-Za-z0-9_]*, and whitespace between tokens is ignored. A task
-line takes "decide" and the norm=... and s3=... options its rule reads; any
-other word is refused. JSON carries the same schema (see from_json_dict);
-parse_scenario(emit_scenario(s)) == s when tasks name their rule.
+[A-Za-z_][A-Za-z0-9_]*, and whitespace between tokens is ignored. A
+parenthesized value with two commas is a triple unless a "u" joins it to
+another piece. A task line takes "decide" and the norm=... and s3=...
+options its rule reads; any other word is refused. JSON carries the same
+schema (see from_json_dict); parse_scenario(emit_scenario(s)) == s when
+tasks name their rule.
+
+One table, _RULES, declares per rule id the source kinds it takes, the task
+options it reads and how to call it: the parse-time option check and the
+dispatch both read it. A compare task runs the COMPARE_RULES lineup and
+keeps a rule's error in its result; any other task raises it.
 """
 
 import json
@@ -35,7 +42,7 @@ from .decision import decide as decide_fn
 from .decision import bel, gpt, pl
 from .errors import DsmError, ParseError, ValidationError
 from .lattice import Frame, LatticeElement, Model, _label_atoms
-from .mass import ImpreciseMass, PreciseMass, SubunitarySet, format_set, parse_set
+from .mass import _JOIN_RE, _NUM, ImpreciseMass, PreciseMass, SubunitarySet, format_set, parse_set
 from .neutro import NeutrosophicTriple, TripleMass
 
 # one match per token: group 1 is the label or operator, "" for any other
@@ -45,7 +52,7 @@ _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[&|()∩∪])|\S")
 _NOT_LABELS = {"&": "&", "∩": "&", "|": "|", "∪": "|", ")": ")", None: None}
 _MEETS = ("&", "∩")
 _JOINS = ("|", "∪")
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NUMBER_RE = re.compile(_NUM)
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b\s*:?")
 
 # deepest parenthesis nesting parse_element accepts: it recurses per level
@@ -259,7 +266,7 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
     for task, (_, lineno) in zip(tasks, task_specs):
         rid = "compare" if task.kind == "compare" else task.rule or default_rule(scenario)
         for key, _ in task.params:
-            if rid not in _OPTION_READERS[key]:
+            if key not in _options_read(rid):
                 raise ParseError(f"rule {rid!r} does not read the task option {key!r}", lineno)
     return scenario
 
@@ -267,7 +274,8 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
 def _parse_value(value_text, lineno):
     """Returns ("precise", float) | ("imprecise", set) | ("triple", triple)."""
     text = value_text.strip()
-    if text.startswith("(") and text.endswith(")") and text.count(",") == 2:
+    if text.startswith("(") and text.endswith(")") and text.count(",") == 2 \
+            and not _JOIN_RE.search(text):
         inner = text[1:-1]
         parts = [p.strip() for p in inner.split(",")]
         try:
@@ -325,7 +333,7 @@ def _parse_task(tokens, lineno=None):
         key, eq, value = tok.partition("=")
         if tok == "decide":
             decide = True
-        elif eq and key in _OPTION_READERS:
+        elif eq and key in _TASK_OPTIONS:
             params[key] = value
         else:
             raise ParseError(f"unknown task option {tok!r}", lineno)
@@ -462,13 +470,38 @@ def _emit_value(v):
 
 COMPARE_RULES = ("dsm_classic", "dempster", "smets", "yager", "dubois_prade", "dsm_hybrid")
 
-_S3_VALUES = {"components": rules.S3_COMPONENTS, "union": rules.S3_UNION}
-# the rules _dispatch hands each task option to ("compare" via dsm_hybrid)
-_OPTION_READERS = {
-    "norm": {"tnorm", "tconorm", "nnorm", "nnorm_fusion", "nconorm", "nconorm_fusion"},
-    "s3": {"dsm_hybrid", "dsm_hybrid_imprecise", "dsmh_improved", "tnorm", "nnorm",
-           "nnorm_fusion", "compare"},
+# Rule id -> (source kinds it takes, task options it reads, call). A call
+# takes (sources, model, s3, norm) and looks its rule up in rules or neutro
+# when it runs, so a patched module attribute is the one called.
+_RULES = {
+    "dsm_classic": ("precise imprecise", "", lambda s, m, s3, norm: rules.dsm_classic(s)),
+    "dsm_classic_imprecise": ("imprecise", "", lambda s, m, s3, norm: rules.dsm_classic(s)),
+    "dsm_hybrid": ("precise imprecise", "s3", lambda s, m, s3, norm: rules.dsm_hybrid(m, s, s3)),
+    "dsm_hybrid_imprecise": ("imprecise", "s3", lambda s, m, s3, norm: rules.dsm_hybrid(m, s, s3)),
+    "dempster": ("precise", "", lambda s, m, s3, norm: rules.dempster(m, s)),
+    "smets": ("precise", "", lambda s, m, s3, norm: rules.smets(m, s)),
+    "yager": ("precise", "", lambda s, m, s3, norm: rules.yager(m, s)),
+    "dubois_prade": ("precise", "", lambda s, m, s3, norm: rules.dubois_prade(m, s)),
+    "disjunctive": ("precise", "", lambda s, m, s3, norm: rules.disjunctive(s, m)),
+    "dsmc_improved": ("precise", "", lambda s, m, s3, norm: rules.dsmc_improved(s, m)),
+    "dsmh_improved": ("precise", "s3", lambda s, m, s3, norm: rules.dsmh_improved(m, s, s3)),
+    "disjunctive_improved": ("precise", "",
+                             lambda s, m, s3, norm: rules.disjunctive_improved(s, m)),
+    "tnorm": ("precise", "norm s3", lambda s, m, s3, norm: rules.tnorm_fusion(norm, s, m, s3)),
+    "tconorm": ("precise", "norm", lambda s, m, s3, norm: rules.tconorm_fusion(norm, s, m)),
+    "nnorm": ("triple", "norm s3", lambda s, m, s3, norm: neutro.nnorm_fusion(norm, s, m, s3)),
+    "nconorm": ("triple", "norm", lambda s, m, s3, norm: neutro.nconorm_fusion(norm, s, m)),
 }
+_RULES["nnorm_fusion"] = _RULES["nnorm"]
+_RULES["nconorm_fusion"] = _RULES["nconorm"]
+_TASK_OPTIONS = {key for _, options, _ in _RULES.values() for key in options.split()}
+
+
+def _options_read(rid):
+    """The task options rule rid reads; compare reads its lineup's."""
+    if rid == "compare":
+        return {key for r in COMPARE_RULES for key in _options_read(r)}
+    return _RULES[rid][1].split() if rid in _RULES else ()
 
 
 @dataclass
@@ -505,21 +538,18 @@ def run(scenario, rule=None, compare=False, decide=False, s3=None):
 
     results = []
     for task in tasks:
-        if task.kind == "compare":
-            for rid in COMPARE_RULES:
-                results.append(_run_one(scenario, Task("fuse", rid, task.params, task.decide),
-                                         capture=True))
-        else:
-            results.append(_run_one(scenario, task, capture=False))
+        rids = COMPARE_RULES if task.kind == "compare" else (task.rule or default_rule(scenario),)
+        results.extend(_run_one(scenario, task, rid) for rid in rids)
     return results
 
 
-def _run_one(scenario, task, capture):
-    rid = task.rule or default_rule(scenario)
+def _run_one(scenario, task, rid):
+    """Run rule rid for task; a compare task reports a rule error in its
+    result instead of raising it."""
     try:
         report = _dispatch(scenario, task, rid)
     except DsmError as exc:
-        if capture:
+        if task.kind == "compare":
             return TaskResult(task, rid, error=exc)
         raise
     result = TaskResult(task, rid, report=report)
@@ -532,44 +562,17 @@ def _run_one(scenario, task, capture):
 
 
 def _dispatch(scenario, task, rid):
-    sources = [m for _, m in scenario.sources]
+    """Fuse the scenario's sources with rule rid under the task's options."""
     kind = scenario.source_kind
     if kind == "mixed":
         raise ValidationError(["sources mix mass kinds; fuse like with like"])
-    model = scenario.model
-    s3 = _S3_VALUES.get(task.param("s3", "components"))
-    if s3 is None:
-        raise ValidationError([f"unknown s3 target {task.param('s3')!r}"])
-    norm = task.param("norm", "algebraic")
-
-    if kind == "TripleMass":
-        if rid in ("nnorm", "nnorm_fusion"):
-            return neutro.nnorm_fusion(norm, sources, model=model, s3_target=s3)
-        if rid in ("nconorm", "nconorm_fusion"):
-            return neutro.nconorm_fusion(norm, sources, model=model)
-        raise ValidationError([f"rule {rid!r} does not take triple sources"])
-
-    if kind == "ImpreciseMass":
-        if rid in ("dsm_classic", "dsm_classic_imprecise"):
-            return rules.dsm_classic(sources)
-        if rid in ("dsm_hybrid", "dsm_hybrid_imprecise"):
-            return rules.dsm_hybrid(model, sources, s3_target=s3)
-        raise ValidationError([f"rule {rid!r} does not take imprecise sources"])
-
-    table = {
-        "dsm_classic": lambda: rules.dsm_classic(sources),
-        "dsm_hybrid": lambda: rules.dsm_hybrid(model, sources, s3_target=s3),
-        "dempster": lambda: rules.dempster(model, sources),
-        "smets": lambda: rules.smets(model, sources),
-        "yager": lambda: rules.yager(model, sources),
-        "dubois_prade": lambda: rules.dubois_prade(model, sources),
-        "disjunctive": lambda: rules.disjunctive(sources, model=model),
-        "dsmc_improved": lambda: rules.dsmc_improved(sources, model=model),
-        "dsmh_improved": lambda: rules.dsmh_improved(model, sources, s3_target=s3),
-        "disjunctive_improved": lambda: rules.disjunctive_improved(sources, model=model),
-        "tnorm": lambda: rules.tnorm_fusion(norm, sources, model=model, s3_target=s3),
-        "tconorm": lambda: rules.tconorm_fusion(norm, sources, model=model),
-    }
-    if rid not in table:
-        raise ValidationError([f"unknown rule {rid!r}"])
-    return table[rid]()
+    s3 = task.param("s3", rules.S3_COMPONENTS)
+    if s3 not in (rules.S3_COMPONENTS, rules.S3_UNION):
+        raise ValidationError([f"unknown s3 target {s3!r}"])
+    kinds, _, call = _RULES.get(rid, ("", "", None))
+    word = kind.removesuffix("Mass").lower()
+    if word not in kinds.split():
+        raise ValidationError([f"unknown rule {rid!r}" if word == "precise"
+                               else f"rule {rid!r} does not take {word} sources"])
+    return call([m for _, m in scenario.sources], scenario.model, s3,
+                task.param("norm", "algebraic"))

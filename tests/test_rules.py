@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dsmfuse.errors import (
+    DegenerateModel,
     FewerThanTwoSources,
     FrameMismatch,
     NotASubset,
@@ -12,6 +13,7 @@ from dsmfuse.errors import (
 )
 from dsmfuse.lattice import Frame, Model, exclusivity
 from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, lift, parse_set
+from dsmfuse.neutro import NeutrosophicTriple, TripleMass, nconorm_fusion, nnorm_fusion
 from dsmfuse.rules import (
     S3_COMPONENTS,
     S3_UNION,
@@ -483,3 +485,30 @@ def test_source_count_and_frame_checks():
         dsm_classic([m1, PreciseMass(F3, {TH1: 0.5})])
     with pytest.raises(TypeError):
         dsm_classic([m1, lift(m2)])
+
+
+def test_every_rule_refuses_a_model_that_empties_the_frame():
+    f = Frame(("a", "b"))
+    a, b = f.atom(1), f.atom(2)
+    model = Model.hybrid(f, [a, b])
+    m = PreciseMass(f, {a: 0.6, a | b: 0.4})
+    t = TripleMass(f, {a: NeutrosophicTriple.of(0.6, 0.1, 0.3)})
+    calls = [
+        lambda: dsm_hybrid(model, [m, m]),
+        lambda: dsm_hybrid_imprecise(model, [lift(m), lift(m)]),
+        lambda: dempster(model, [m, m]),
+        lambda: smets(model, [m, m]),
+        lambda: yager(model, [m, m]),
+        lambda: dubois_prade(model, [m, m]),
+        lambda: disjunctive([m, m], model=model),
+        lambda: dsmc_improved([m, m], model=model),
+        lambda: dsmh_improved(model, [m, m]),
+        lambda: disjunctive_improved([m, m], model=model),
+        lambda: tnorm_fusion("min", [m, m], model=model),
+        lambda: tconorm_fusion("max", [m, m], model=model),
+        lambda: nnorm_fusion("algebraic", [t, t], model=model),
+        lambda: nconorm_fusion("algebraic", [t, t], model=model),
+    ]
+    for call in calls:
+        with pytest.raises(DegenerateModel, match="empties the whole frame"):
+            call()

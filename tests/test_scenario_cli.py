@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmfuse import cli
+from dsmfuse import cli, neutro, rules
 from dsmfuse.decision import DecisionResult, PignisticDistribution
 from dsmfuse.errors import DsmError, ParseError, TotalConflict, ValidationError
 from dsmfuse.lattice import Frame, LatticeElement, Model, dsm_cardinality
@@ -17,10 +17,13 @@ from dsmfuse.mass import ImpreciseMass, PreciseMass, format_set, parse_set
 from dsmfuse.neutro import NeutrosophicTriple, TripleMass
 from dsmfuse.rules import FusionReport
 from dsmfuse.scenario import (
+    COMPARE_RULES,
     MAX_NESTING,
     Scenario,
     Task,
     TaskResult,
+    _dispatch,
+    _RULES,
     emit_scenario,
     from_json_dict,
     load_scenario,
@@ -238,6 +241,13 @@ def test_open_interval_versus_triple():
     t = "frame: a b\nsource x:\n  a = (0.1,0.8,0.1)\n"
     s2 = parse_scenario(t)
     assert type(dict(s2.sources)["x"]).__name__ == "TripleMass"
+    # two open intervals joined by "u" have two commas too, but are a set
+    for joiner in ("u", " U ", "∪"):
+        u = f"frame: a b\nsource x:\n  a = (0.1,0.2){joiner}(0.3,0.4)\n  b = [0.6,0.7]\n"
+        a = dict(parse_scenario(u).sources)["x"].mass(parse_element(Frame(("a", "b")), "a"))
+        assert a == parse_set("(0.1,0.2)u(0.3,0.4)")
+    with pytest.raises(ParseError, match=r"bad triple '\(0.1, x, 0.3\)'"):
+        parse_scenario("frame: a b\nsource x:\n  a = (0.1, x, 0.3)\n")
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -298,10 +308,18 @@ def build_imprecise_scenario():
                     (("m1", m1), ("m2", m2)), (Task("fuse", "dsm_hybrid"),))
 
 
+def build_open_union_scenario():
+    f = Frame(("th1", "th2"))
+    m = ImpreciseMass(f, {f.atom(1): parse_set("(0.1,0.2)u(0.3,0.4)"),
+                          f.atom(2): parse_set("[0.6,0.7]")})
+    return Scenario(f, Model.free(f), (("m1", m), ("m2", m)), (Task("fuse", "dsm_classic"),))
+
+
 @pytest.mark.parametrize("builder", [
     lambda: parse_scenario(THREE_SOURCES),
     build_triple_scenario,
     build_imprecise_scenario,
+    build_open_union_scenario,
 ])
 def test_emit_parse_round_trip(builder):
     s = builder()
@@ -420,6 +438,145 @@ def test_imprecise_rule_ids_accept_plain_names():
     a = run(s, rule="dsm_hybrid")[0]
     b = run(s, rule="dsm_hybrid_imprecise")[0]
     assert a.report.rule == b.report.rule == "dsm_hybrid_imprecise"
+
+
+REF_S3_VALUES = {"components": rules.S3_COMPONENTS, "union": rules.S3_UNION}
+# the rules _dispatch hands each task option to ("compare" via dsm_hybrid)
+REF_OPTION_READERS = {
+    "norm": {"tnorm", "tconorm", "nnorm", "nnorm_fusion", "nconorm", "nconorm_fusion"},
+    "s3": {"dsm_hybrid", "dsm_hybrid_imprecise", "dsmh_improved", "tnorm", "nnorm",
+           "nnorm_fusion", "compare"},
+}
+
+
+def ref_dispatch(scenario, task, rid):
+    """The dispatch as first written: a branch per source kind and a lambda
+    table for precise sources."""
+    sources = [m for _, m in scenario.sources]
+    kind = scenario.source_kind
+    if kind == "mixed":
+        raise ValidationError(["sources mix mass kinds; fuse like with like"])
+    model = scenario.model
+    s3 = REF_S3_VALUES.get(task.param("s3", "components"))
+    if s3 is None:
+        raise ValidationError([f"unknown s3 target {task.param('s3')!r}"])
+    norm = task.param("norm", "algebraic")
+
+    if kind == "TripleMass":
+        if rid in ("nnorm", "nnorm_fusion"):
+            return neutro.nnorm_fusion(norm, sources, model=model, s3_target=s3)
+        if rid in ("nconorm", "nconorm_fusion"):
+            return neutro.nconorm_fusion(norm, sources, model=model)
+        raise ValidationError([f"rule {rid!r} does not take triple sources"])
+
+    if kind == "ImpreciseMass":
+        if rid in ("dsm_classic", "dsm_classic_imprecise"):
+            return rules.dsm_classic(sources)
+        if rid in ("dsm_hybrid", "dsm_hybrid_imprecise"):
+            return rules.dsm_hybrid(model, sources, s3_target=s3)
+        raise ValidationError([f"rule {rid!r} does not take imprecise sources"])
+
+    table = {
+        "dsm_classic": lambda: rules.dsm_classic(sources),
+        "dsm_hybrid": lambda: rules.dsm_hybrid(model, sources, s3_target=s3),
+        "dempster": lambda: rules.dempster(model, sources),
+        "smets": lambda: rules.smets(model, sources),
+        "yager": lambda: rules.yager(model, sources),
+        "dubois_prade": lambda: rules.dubois_prade(model, sources),
+        "disjunctive": lambda: rules.disjunctive(sources, model=model),
+        "dsmc_improved": lambda: rules.dsmc_improved(sources, model=model),
+        "dsmh_improved": lambda: rules.dsmh_improved(model, sources, s3_target=s3),
+        "disjunctive_improved": lambda: rules.disjunctive_improved(sources, model=model),
+        "tnorm": lambda: rules.tnorm_fusion(norm, sources, model=model, s3_target=s3),
+        "tconorm": lambda: rules.tconorm_fusion(norm, sources, model=model),
+    }
+    if rid not in table:
+        raise ValidationError([f"unknown rule {rid!r}"])
+    return table[rid]()
+
+
+def ref_option_check(task, rid, lineno):
+    """The parse-time option check as first written."""
+    for key, _ in task.params:
+        if rid not in REF_OPTION_READERS[key]:
+            raise ParseError(f"rule {rid!r} does not read the task option {key!r}", lineno)
+
+
+def dispatch_outcome(call):
+    try:
+        r = call()
+    except DsmError as exc:
+        return type(exc), str(exc)
+    return r.rule, r.mass.items(), r.conflict, r.warnings
+
+
+def result_outcome(r):
+    if r.error is not None:
+        return type(r.error), str(r.error)
+    return r.report.rule, r.report.mass.items(), r.report.conflict, r.report.warnings
+
+
+def dispatch_cases():
+    """(scenario, task) per source kind (precise, imprecise, triple and
+    mixed, under a hybrid model), s3 value and norm value, absent ones
+    included, for every rule id in the README, the aliases, compare and an
+    unknown id."""
+    precise = parse_scenario("frame: th1 th2\nmodel: hybrid\nconstraint: th1 & th2 = 0\n"
+                             "source m1:\n  th1 & th2 = 0.5\n  th2 = 0.5\n"
+                             "source m2:\n  th1 = 0.6\n  th1 | th2 = 0.4\n")
+    triples = build_triple_scenario().sources
+    kinds = [precise.sources, build_imprecise_scenario().sources, triples,
+             (precise.sources[0], triples[0])]
+    rids = ["dsm_classic", "dsm_hybrid", "dempster", "smets", "yager", "dubois_prade",
+            "disjunctive", "dsmc_improved", "dsmh_improved", "disjunctive_improved", "tnorm",
+            "tconorm", "nnorm", "nconorm", "dsm_classic_imprecise", "dsm_hybrid_imprecise",
+            "nnorm_fusion", "nconorm_fusion", "compare", "entropy_max"]
+    for sources in kinds:
+        for s3 in (None, "components", "union", "bogus"):
+            for norm in (None, "algebraic", "min", "max", "bogus"):
+                params = tuple((k, v) for k, v in (("norm", norm), ("s3", s3)) if v)
+                for rid in rids:
+                    task = Task("compare", None, params) if rid == "compare" \
+                        else Task("fuse", rid, params)
+                    yield Scenario(precise.frame, precise.model, sources, (task,)), task
+
+
+def test_dispatch_matches_the_reference():
+    for scenario, task in dispatch_cases():
+        if task.kind == "compare":
+            got = [result_outcome(r) for r in run(scenario)]
+            want = [dispatch_outcome(lambda: ref_dispatch(
+                scenario, Task("fuse", rid, task.params), rid)) for rid in COMPARE_RULES]
+        else:
+            got = dispatch_outcome(lambda: _dispatch(scenario, task, task.rule))
+            want = dispatch_outcome(lambda: ref_dispatch(scenario, task, task.rule))
+        assert got == want, task
+
+
+def test_option_check_matches_the_reference():
+    for scenario, task in dispatch_cases():
+        text = emit_scenario(scenario)
+        try:
+            ref_option_check(task, task.rule or "compare", text.count("\n"))
+            want = None
+        except ParseError as exc:
+            want = str(exc)
+        try:
+            parse_scenario(text)
+            got = None
+        except ParseError as exc:
+            got = str(exc)
+        assert got == want, task
+
+
+def test_readme_lists_the_rule_table():
+    with open(os.path.join(SCENARIO_DIR, os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    ids = readme.split("Rule ids accepted by `--rule` and `task:` lines:")[1]
+    ids = ids.split("for triple sources.")[0]
+    assert set(re.findall(r"`(\w+)`", ids)) == set(_RULES)
+    lineup = re.search(r"^\| `--compare` \|.*side by side:(.*)\|$", readme, re.M).group(1)
+    assert tuple(re.findall(r"`(\w+)`", lineup)) == COMPARE_RULES
 
 
 # --- command line -----------------------------------------------------------------------
@@ -596,6 +753,36 @@ def test_compare_with_a_failing_rule_still_succeeds(capsys):
                      "--compare"]) == 0
     out = capsys.readouterr().out
     assert "TotalConflict" in out
+
+
+@pytest.mark.parametrize("precision", ["full", "0"])
+def test_compare_columns_fit_their_cells(precision, capsys):
+    assert cli.main(["fuse", "--scenario", fixture("three_sources.dsm"),
+                     "--precision", precision]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("element "))
+    end = next(i for i, line in enumerate(lines) if line.startswith("conflict "))
+    assert len({len(line) for line in lines[start:end + 1]}) == 1
+
+
+def test_a_compare_table_is_drawn_per_compare_task(tmp_path, capsys):
+    def report(path, *extra):
+        assert cli.main(["fuse", "--scenario", str(path), *extra]) == 0
+        return capsys.readouterr().out
+
+    # a task's rule block is what --rule prints after the frame and model lines
+    blocks = {rid: report(fixture("three_sources.dsm"), "--rule", rid).split("\n", 2)[2]
+              for rid in COMPARE_RULES}
+    body = THREE_SOURCES.replace("task: compare\n", "")
+    lineup = tmp_path / "lineup.dsm"
+    lineup.write_text(body + "".join(f"task: {rid}\n" for rid in COMPARE_RULES))
+    out = report(lineup)
+    assert out.count("\nrule: ") == 6 and "element" not in out
+    assert out == "frame: th1 th2 th3\nmodel: shafer [th3 = 0]\n" + "".join(blocks.values())
+
+    both = tmp_path / "both.dsm"
+    both.write_text(body + "task: compare\ntask: dempster\n")
+    assert report(both) == golden("three_sources.txt") + blocks["dempster"]
 
 
 def test_exit_codes(tmp_path, capsys):
