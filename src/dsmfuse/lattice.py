@@ -10,9 +10,13 @@ are plain bitwise AND and OR. With at most 6 hypotheses there are at most
 
 Adding hypothesis j to a part that lacks it moves the part's bit up by 2**j,
 so (bits & ~atom_j) << 2**j grows every part of bits by j and n such
-shift-ORs close a bitset upward. minimal_parts and component_union work on
-any bitset, not only upward-closed ones: model reduction strips dead parts
-from every fused key.
+shift-ORs close a bitset upward. Minimal parts and the (size, mask) rank
+order that expressions print in come from per-byte tables instead: the parts
+lying strictly above some part of a bitset, and the bitset moved into rank
+positions, are both OR-linear maps, so each is the OR of one table entry per
+byte of the bitset. This is exact on any bitset, not only upward-closed
+ones, which matters because model reduction strips dead parts from every
+fused key.
 
 A Model declares which parts are impossible (empty). Reducing an element
 under a model clears its dead parts; two elements are equal under the model
@@ -21,7 +25,9 @@ when their reduced bitsets are equal.
 
 from array import array
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from itertools import chain
+from operator import add, getitem, or_
 
 from .errors import (
     DegenerateModel,
@@ -55,27 +61,50 @@ def _close_up(n, bits):
     return bits
 
 
+def _per_byte(values, zero, join):
+    """Per byte k of a part bitset, the table of join over the values of the
+    bits set in each byte value v: v's entry is the entry without v's top
+    bit joined with that bit's value, one join per entry."""
+    tables = []
+    for base in range(0, len(values), 8):
+        table = [zero]
+        for value in values[base:base + 8]:
+            table += [join(entry, value) for entry in table]
+        tables.append(table)
+    return tables
+
+
+@cache
+def _part_tables(n):
+    """Per-byte tables over n hypotheses: the parts strictly above each part,
+    and each part's bit moved to its rank in (size, mask) order; also the
+    subset-masks in rank order."""
+    parts = [1 << p for p in range((1 << n) - 1)]
+    order = sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s))
+    rank = {s: r for r, s in enumerate(order)}
+    above = _per_byte([_close_up(n, b) & ~b for b in parts], 0, or_)
+    ranked = _per_byte([1 << rank[b.bit_length()] for b in parts], 0, or_)
+    return above, ranked, order
+
+
 def _minimal(n, bits):
     """The parts of bits that contain no other part of bits."""
-    above = 0
-    for j, atom in enumerate(_atoms(n)):
-        above |= (bits & ~atom) << (1 << j)
-    return bits & ~_close_up(n, above)
+    above = _part_tables(n)[0]
+    return bits & ~reduce(or_, map(getitem, above, bits.to_bytes(len(above), "little")), 0)
 
 
 @lru_cache(maxsize=32)
 def _terms(labels, unicode):
     """Rendering table for a frame's labels: the empty and union symbols,
-    then per part bit its rank in (size, mask) order, its bare term and its
-    term as printed inside a union of two or more terms."""
+    each part bit's bare term, the rank tables of _part_tables, and per byte
+    of a rank-ordered bitset the tuple of its terms as printed inside a union
+    of two or more terms."""
     inter, union, empty = ("∩", "∪", "∅") if unicode else ("&", "|", "{}")
-    masks = range(1, 1 << len(labels))
-    rank = [0] * len(masks)
-    for r, s in enumerate(sorted(masks, key=lambda s: (s.bit_count(), s))):
-        rank[s - 1] = r
-    bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1) for s in masks]
-    paren = [t if s.bit_count() == 1 else f"({t})" for s, t in zip(masks, bare)]
-    return empty, union, rank, bare, paren
+    _, ranked, order = _part_tables(len(labels))
+    bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1)
+            for s in range(1, 1 << len(labels))]
+    paren = [(bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})",) for s in order]
+    return empty, union, bare, ranked, _per_byte(paren, (), add)
 
 
 def _overlaps(n):
@@ -206,17 +235,14 @@ class LatticeElement:
 
     def expr(self, style="unicode"):
         """Canonical expression: union of intersections of minimal parts."""
-        empty, union, rank, bare, paren = _terms(self.frame.labels, style == "unicode")
+        empty, union, bare, ranked, terms = _terms(self.frame.labels, style == "unicode")
         bits = _minimal(len(self.frame.labels), self.bits)
         if bits & (bits - 1) == 0:
             return bare[bits.bit_length() - 1] if bits else empty
-        parts = []
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            parts.append(low.bit_length() - 1)
-        parts.sort(key=rank.__getitem__)
-        return union.join([paren[k] for k in parts])
+        # each part has its own rank, so the bytes' rank bits are disjoint and add up
+        bits = sum(map(getitem, ranked, bits.to_bytes(len(ranked), "little")))
+        return union.join(chain.from_iterable(
+            map(getitem, terms, bits.to_bytes(len(terms), "little"))))
 
     def __repr__(self):
         return f"<{self.expr()}>"

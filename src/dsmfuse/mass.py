@@ -245,7 +245,6 @@ def sum_sets(sets):
 
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _INTERVAL_RE = re.compile(rf"([\[\(])\s*({_NUM})\s*,\s*({_NUM})\s*([\]\)])")
-_BRACES_RE = re.compile(rf"\{{\s*({_NUM})(?:\s*,\s*({_NUM}))*\s*\}}")
 _POINT_RE = re.compile(rf"({_NUM})")
 _JOIN_RE = re.compile(r"\s*[uU∪]\s*")
 

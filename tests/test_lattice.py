@@ -490,3 +490,30 @@ def test_atoms_and_shafer_mask_match_the_part_scan(n):
     shafer = Model.shafer(f)
     assert shafer.emptied == ref_shafer_mask(n)
     assert shafer.is_shafer_compatible()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_mask_algebra_matches_reference_on_every_byte_alone(n):
+    # minimal parts and rank order are read from one table entry per byte of
+    # a bitset, so check every value of every byte on its own, the partial
+    # last byte at n=6 (parts 56-62) included
+    parts = (1 << n) - 1
+    for k in range(0, parts, 8):
+        for v in range(1 << min(8, parts - k)):
+            assert_matches_reference(n, v << k)
+
+
+def test_reduced_expressions_match_reference():
+    # listings and decide tables render reduced bitsets, which are not
+    # upward closed: the table of parts above still names their dead parts
+    f = frame_of(5)
+    models = [
+        Model.shafer(f),
+        Model.hybrid(f, [exclusivity(f, 1, 2)]),
+        Model.hybrid(f, [exclusivity(f, 1, 3), exclusivity(f, 2, 4),
+                         f.atom(3) & f.atom(4) & f.atom(5)]),
+    ]
+    for m in models:
+        for x in m.iter_alive_elements():
+            for style in ("unicode", "ascii"):
+                assert x.expr(style=style) == ref_expr(f, x.bits, style)
