@@ -19,7 +19,7 @@ from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
 from .lattice import Frame, Model
 from .mass import format_set
 from .neutro import NeutrosophicTriple
-from .scenario import load_scenario, run
+from .scenario import _format_value, load_scenario, run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -34,8 +34,8 @@ def _parse_precision(text):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("precision is an integer or 'full'")
-    if value < 0:
-        raise argparse.ArgumentTypeError("precision must be nonnegative")
+    if not 0 <= value <= 1074:  # a double's exact decimal expansion needs at most 1074
+        raise argparse.ArgumentTypeError("precision must be between 0 and 1074")
     return value
 
 
@@ -158,17 +158,6 @@ def _stream_lattice_table(model):
     return EXIT_OK
 
 
-# --- value formatting -------------------------------------------------------------
-
-def _fmt(value, precision):
-    if isinstance(value, float):
-        return repr(value) if precision is None else f"{value:.{precision}f}"
-    if isinstance(value, NeutrosophicTriple):
-        t, i, f = value.as_points()
-        return f"({_fmt(t, precision)}, {_fmt(i, precision)}, {_fmt(f, precision)})"
-    return format_set(value, precision)
-
-
 # --- JSON writing ------------------------------------------------------------------
 #
 # Reports and listings are written row by row with the bytes of
@@ -286,19 +275,19 @@ def _single_block(r, precision):
     if r.error is not None:
         lines.append(f"error: {type(r.error).__name__}: {r.error}")
         return lines
-    rows = {el.expr(style="ascii"): _fmt(v, precision) for el, v in r.report.mass.items()}
+    rows = {el.expr(style="ascii"): _format_value(v, precision) for el, v in r.report.mass.items()}
     pignistic = [] if r.pignistic is None else \
-        [(el.expr(style="ascii"), _fmt(v, precision)) for el, v in r.pignistic.items()]
+        [(el.expr(style="ascii"), _format_value(v, precision)) for el, v in r.pignistic.items()]
     width = max([len(k) for k in rows] + [len(k) for k, _ in pignistic] + [7])
     lines.append("mass:")
     for k, v in rows.items():
         lines.append(f"  {k:<{width}}  {v}")
-    lines.append(f"conflict: {_fmt(r.report.conflict, precision)}")
+    lines.append(f"conflict: {_format_value(r.report.conflict, precision)}")
     if r.bel is not None:
         lines.append("bel/pl:")
         for el in r.bel:
-            k = el.expr(style="ascii")
-            lines.append(f"  {k:<{width}}  {_fmt(r.bel[el], precision)}  {_fmt(r.pl[el], precision)}")
+            bel, pl = _format_value(r.bel[el], precision), _format_value(r.pl[el], precision)
+            lines.append(f"  {el.expr(style='ascii'):<{width}}  {bel}  {pl}")
     if r.pignistic is not None:
         lines.append("pignistic:")
         for k, v in pignistic:
@@ -306,7 +295,7 @@ def _single_block(r, precision):
     if r.decision is not None:
         tie = " (tie)" if r.decision.tie else ""
         lines.append(f"decision: {r.decision.choice.expr(style='ascii')}"
-                     f" ({_fmt(r.decision.score, precision)}){tie}")
+                     f" ({_format_value(r.decision.score, precision)}){tie}")
     warnings = list(r.report.warnings)
     if r.pignistic is not None:
         warnings += list(r.pignistic.warnings)
@@ -328,7 +317,7 @@ def _compare_table(results, precision):
         rows = {}
         for el, v in r.report.mass.items():
             label = el.expr(style="ascii")
-            rows[label] = _fmt(v, precision)
+            rows[label] = _format_value(v, precision)
             sort_key = (el.bits.bit_count(), el.bits)
             if label not in order or sort_key < order[label]:
                 order[label] = sort_key
@@ -336,7 +325,7 @@ def _compare_table(results, precision):
     labels = sorted(order, key=lambda k: order[k])
     # a column per rule: its name, a cell per label and its conflict
     columns = [[r.rule, *(rows.get(k, "") for k in labels),
-                "" if r.error is not None else _fmt(r.report.conflict, precision)]
+                "" if r.error is not None else _format_value(r.report.conflict, precision)]
                for r, rows in zip(results, per_rule)]
     floor = 0 if precision is None else precision + 2
     widths = [max(floor, *map(len, column)) for column in columns]
@@ -355,7 +344,7 @@ def _compare_table(results, precision):
             if r.decision is not None:
                 tie = " (tie)" if r.decision.tie else ""
                 lines.append(f"decision[{r.rule}]: {r.decision.choice.expr(style='ascii')}"
-                             f" ({_fmt(r.decision.score, precision)}){tie}")
+                             f" ({_format_value(r.decision.score, precision)}){tie}")
     return lines
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .errors import ValidationError, ZeroSum
 from .mass import SubunitarySet, _MassBase
 from .rules import (
-    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join_plan, _prepare, _transfer_plan, _walk,
+    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join_plan, _kernel, _prepare, _transfer_plan,
+    _walk,
 )
 
 _ONE = SubunitarySet.point(1.0)
@@ -113,16 +114,12 @@ def _apply_kernel(kernel, a, b):
 
 def nnorm(kind, a, b):
     """Conjunctive combination of two point triples, componentwise."""
-    if kind not in TNORMS:
-        raise ValidationError([f"unknown N-norm {kind!r}"])
-    return NeutrosophicTriple.of(*_apply_kernel(TNORMS[kind], a, b))
+    return NeutrosophicTriple.of(*_apply_kernel(_kernel(TNORMS, kind, "N-norm"), a, b))
 
 
 def nconorm(kind, a, b):
     """Disjunctive combination of two point triples, componentwise."""
-    if kind not in TCONORMS:
-        raise ValidationError([f"unknown N-conorm {kind!r}"])
-    return NeutrosophicTriple.of(*_apply_kernel(TCONORMS[kind], a, b))
+    return NeutrosophicTriple.of(*_apply_kernel(_kernel(TCONORMS, kind, "N-conorm"), a, b))
 
 
 def normalize_triple(trip):
@@ -206,16 +203,12 @@ def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=T
 
     The reported conflict is the truth-component mass that was rerouted.
     """
-    if kind not in TNORMS:
-        raise ValidationError([f"unknown N-norm {kind!r}"])
-    return _fuse_triples("nnorm_fusion", f"nnorm[{kind}]", TNORMS[kind], sources, model,
-                         lambda m: _transfer_plan(m, s3_target), normalize)
+    return _fuse_triples("nnorm_fusion", f"nnorm[{kind}]", _kernel(TNORMS, kind, "N-norm"),
+                         sources, model, lambda m: _transfer_plan(m, s3_target), normalize)
 
 
 def nconorm_fusion(kind, sources, model=None, normalize=True):
     """Disjunctive triple fusion: componentwise N-conorm per focal pair on
     the union element, then per-element normalization."""
-    if kind not in TCONORMS:
-        raise ValidationError([f"unknown N-conorm {kind!r}"])
-    return _fuse_triples("nconorm_fusion", f"nconorm[{kind}]", TCONORMS[kind], sources, model,
-                         _join_plan, normalize)
+    return _fuse_triples("nconorm_fusion", f"nconorm[{kind}]",
+                         _kernel(TCONORMS, kind, "N-conorm"), sources, model, _join_plan, normalize)

@@ -23,14 +23,17 @@ None) is added on the int bits `key`, or handed back as dropped when
   union of a forbidden intersection and drops the mass whose union is
   forbidden too; the degree-weighted rules weight each pair.
 
-Depth first, each prefix's state and kernel value are computed once and
-each distinct final state is landed once, but every tuple still adds its
-own left-folded value, in lexicographic tuple order: the floats of a
-tuple-by-tuple walk. Values are not summed per state before the last
-kernel (a*b + a*c as a*(b + c)): that moves floats in the last place, and
-set arithmetic is only subdistributive, so one-point sets would no longer
-reproduce the precise rules bit for bit. A value only needs + and the
-kernel: floats, subunitary sets and neutro's point triples all qualify.
+The walk folds source by source. For each item of the first source it
+folds the middle sources, one at a time, into a list of (prefix state,
+prefix value) pairs, so each prefix's state and kernel value are computed
+once; it then lands each prefix on the last source, each distinct final
+state once. Every tuple still adds its own left-folded value, in
+lexicographic tuple order: the floats of a tuple-by-tuple walk. Values are
+not summed per state before the last kernel (a*b + a*c as a*(b + c)): that
+moves floats in the last place, and set arithmetic is only
+subdistributive, so one-point sets would no longer reproduce the precise
+rules bit for bit. A value only needs + and the kernel: floats, subunitary
+sets and neutro's point triples all qualify.
 """
 
 from dataclasses import dataclass
@@ -108,7 +111,7 @@ def _focal_items(m):
 
 
 def _walk(sources, plan, kernel=mul, zero=0.0):
-    """Sum every focal tuple's value on its landing site, depth first.
+    """Sum every focal tuple's value on its landing site, source by source.
 
     Returns (sums per element, conflict, mass dropped on key None).
     """
@@ -116,37 +119,30 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
     first, *middle, last = [[(facts(el), v) for el, v in _focal_items(m)] for m in sources]
     landed, rows, acc = {}, {}, {}
     conflict = lost = zero
-
-    def landing(state):
-        if state not in landed:
-            landed[state] = land(state)
-        return landed[state]
-
-    def descend(state, v, rest):
-        nonlocal conflict, lost
-        if rest:
-            for fact, w in rest[0]:
-                descend(step(state, fact), kernel(v, w), rest[1:])
-            return
-        # the landings of the last source's items after this prefix state
-        row = rows.get(state)
-        if row is None:
-            row = rows[state] = [(*landing(step(state, fact)), w) for fact, w in last]
-        for key, weight, dead, w in row:
-            x = kernel(v, w)
-            value = x if weight is None else weight * x
-            if dead:
-                conflict = conflict + x
-            if key is None:
-                lost = lost + value
-            else:
-                acc[key] = acc.get(key, zero) + value
-
-    for fact, v in first:
-        descend(fact, v, middle)
-    # descend refers to itself; unbinding it frees the walk's tables now
-    # instead of at the next cyclic garbage collection
-    del descend
+    for prefix in first:
+        # one first item at a time keeps the list to the middle sources' product
+        prefixes = [prefix]
+        for items in middle:
+            prefixes = [(step(s, f), kernel(v, w)) for s, v in prefixes for f, w in items]
+        for state, v in prefixes:
+            # the landings of the last source's items after this prefix state
+            row = rows.get(state)
+            if row is None:
+                row = rows[state] = []
+                for fact, w in last:
+                    final = step(state, fact)
+                    if final not in landed:
+                        landed[final] = land(final)
+                    row.append((*landed[final], w))
+            for key, weight, dead, w in row:
+                x = kernel(v, w)
+                value = x if weight is None else weight * x
+                if dead:
+                    conflict = conflict + x
+                if key is None:
+                    lost = lost + value
+                else:
+                    acc[key] = acc.get(key, zero) + value
     return {LatticeElement(sources[0].frame, k): v for k, v in acc.items()}, conflict, lost
 
 
@@ -334,7 +330,7 @@ def _normalize_acc(acc, rule):
     total = sum(acc.values())
     if total <= _NEAR_ZERO:
         raise DegenerateNormalization(f"{rule}: every weighted product vanished")
-    return {el: v / total for el, v in acc.items()}, total
+    return {el: v / total for el, v in acc.items()}
 
 
 def dsmc_improved(sources, model=None):
@@ -352,7 +348,7 @@ def dsmc_improved(sources, model=None):
         return reduced, degree_of_intersection(model, x, y), False
 
     acc, conflict, _ = _walk(sources, (*_PAIR, land))
-    acc, _ = _normalize_acc(acc, "dsmc_improved")
+    acc = _normalize_acc(acc, "dsmc_improved")
     return FusionReport("dsmc_improved", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
 
@@ -368,7 +364,7 @@ def disjunctive_improved(sources, model=None):
         return (model.reduce(x | y).bits if w else None), w, False
 
     acc, _, _ = _walk(sources, (*_PAIR, land))
-    acc, _ = _normalize_acc(acc, "disjunctive_improved")
+    acc = _normalize_acc(acc, "disjunctive_improved")
     return FusionReport("disjunctive_improved", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))
 
@@ -391,7 +387,7 @@ def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
         return key, w, dead
 
     acc, conflict, _ = _walk(sources, (lambda el: (el, facts(el)), lambda a, b: (a, b), land))
-    acc, _ = _normalize_acc(acc, "dsmh_improved")
+    acc = _normalize_acc(acc, "dsmh_improved")
     return FusionReport("dsmh_improved", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
 
@@ -411,6 +407,14 @@ TCONORMS = {
 }
 
 
+def _kernel(table, name, what):
+    """The kernel called name in table (TNORMS or TCONORMS); what names its
+    kind in the error for an unknown name."""
+    if name not in table:
+        raise ValidationError([f"unknown {what} {name!r}"])
+    return table[name]
+
+
 def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
     """Conjunctive fusion with the product replaced by a T-norm.
 
@@ -418,12 +422,11 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
     normalization and equals dsm_classic; the min and bounded variants are
     normalized after the model transfer.
     """
-    if norm not in TNORMS:
-        raise ValidationError([f"unknown T-norm {norm!r}"])
+    kernel = _kernel(TNORMS, norm, "T-norm")
     model, warnings = _prepare(sources, "tnorm", model, exactly=2)
-    acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), TNORMS[norm])
+    acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), kernel)
     if norm != "algebraic":
-        acc, _ = _normalize_acc(acc, f"tnorm[{norm}]")
+        acc = _normalize_acc(acc, f"tnorm[{norm}]")
     return FusionReport(f"tnorm[{norm}]", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
 
@@ -431,10 +434,9 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
 def tconorm_fusion(conorm, sources, model=None):
     """Disjunctive fusion with the product replaced by a T-conorm; every
     variant is normalized since the summed values overshoot 1."""
-    if conorm not in TCONORMS:
-        raise ValidationError([f"unknown T-conorm {conorm!r}"])
+    kernel = _kernel(TCONORMS, conorm, "T-conorm")
     model, warnings = _prepare(sources, "tconorm", model, exactly=2)
-    acc, _, _ = _walk(sources, _join_plan(model), TCONORMS[conorm])
-    acc, _ = _normalize_acc(acc, f"tconorm[{conorm}]")
+    acc, _, _ = _walk(sources, _join_plan(model), kernel)
+    acc = _normalize_acc(acc, f"tconorm[{conorm}]")
     return FusionReport(f"tconorm[{conorm}]", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))

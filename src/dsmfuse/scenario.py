@@ -42,7 +42,9 @@ from .decision import decide as decide_fn
 from .decision import bel, gpt, pl
 from .errors import DsmError, ParseError, ValidationError
 from .lattice import Frame, LatticeElement, Model, _label_atoms
-from .mass import _JOIN_RE, _NUM, ImpreciseMass, PreciseMass, SubunitarySet, format_set, parse_set
+from .mass import (
+    _JOIN_RE, _NUM, ImpreciseMass, PreciseMass, SubunitarySet, _fmt_num, format_set, parse_set,
+)
 from .neutro import NeutrosophicTriple, TripleMass
 
 # one match per token: group 1 is the label or operator, "" for any other
@@ -447,7 +449,7 @@ def emit_scenario(scenario):
     for name, mass in scenario.sources:
         lines.append(f"source {name}:")
         for el, v in mass.items():
-            lines.append(f"  {el.expr(style='ascii')} = {_emit_value(v)}")
+            lines.append(f"  {el.expr(style='ascii')} = {_format_value(v)}")
     for task in scenario.tasks:
         tokens = [(task.rule or default_rule(scenario)) if task.kind == "fuse" else "compare"]
         tokens += [f"{k}={v}" for k, v in task.params]
@@ -457,13 +459,14 @@ def emit_scenario(scenario):
     return "\n".join(lines) + "\n"
 
 
-def _emit_value(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, NeutrosophicTriple):
-        t, i, f = v.as_points()
-        return f"({t!r}, {i!r}, {f!r})"
-    return format_set(v)
+def _format_value(value, precision=None):
+    """A float, triple or set with precision decimals; None gives the
+    shortest text that parses back to the same value."""
+    if isinstance(value, float):
+        return _fmt_num(value, precision)
+    if isinstance(value, NeutrosophicTriple):
+        return "(" + ", ".join(_fmt_num(x, precision) for x in value.as_points()) + ")"
+    return format_set(value, precision)
 
 
 # --- execution --------------------------------------------------------------------

@@ -13,7 +13,9 @@ from dsmfuse.errors import (
 )
 from dsmfuse.lattice import Frame, Model, exclusivity
 from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, lift, parse_set
-from dsmfuse.neutro import NeutrosophicTriple, TripleMass, nconorm_fusion, nnorm_fusion
+from dsmfuse.neutro import (
+    NeutrosophicTriple, TripleMass, nconorm, nconorm_fusion, nnorm, nnorm_fusion,
+)
 from dsmfuse.rules import (
     S3_COMPONENTS,
     S3_UNION,
@@ -136,6 +138,13 @@ def test_classic_is_commutative_and_associative():
             assert v == pytest.approx(a_bc.mass(el), abs=1e-9)
         for el, v in ab.items():
             assert v == pytest.approx(ba.mass(el), abs=1e-9)
+
+
+def test_many_sources_fuse():
+    """The walk's depth does not grow with the number of sources."""
+    sources = [PreciseMass(F3, {TH1 | TH2: 1.0})] * 1200
+    assert dsm_classic(sources).mass_of(TH1 | TH2) == 1.0
+    assert dsm_hybrid(THIRD_RULED_OUT, sources).mass_of(TH1 | TH2) == 1.0
 
 
 # --- transfer rule -------------------------------------------------------------------
@@ -406,10 +415,22 @@ def test_max_union_rule_matches_direct_oracle():
     assert sum(v for _, v in r.mass.items()) == pytest.approx(1.0)
 
 
-def test_unknown_shape_rejected():
-    m1, m2 = two_reports()
-    with pytest.raises(ValidationError):
-        tnorm_fusion("harmonic", [m1, m2])
+T = NeutrosophicTriple.of(0.5, 0.2, 0.3)
+TRIPLES = [TripleMass(F3, {TH1: T}), TripleMass(F3, {TH2: T})]
+
+
+@pytest.mark.parametrize("fuse, args, kind", [
+    (tnorm_fusion, (list(two_reports()),), "T-norm"),
+    (tconorm_fusion, (list(two_reports()),), "T-conorm"),
+    (nnorm, (T, T), "N-norm"),
+    (nconorm, (T, T), "N-conorm"),
+    (nnorm_fusion, (TRIPLES,), "N-norm"),
+    (nconorm_fusion, (TRIPLES,), "N-conorm"),
+], ids=["tnorm_fusion", "tconorm_fusion", "nnorm", "nconorm", "nnorm_fusion", "nconorm_fusion"])
+def test_unknown_shape_rejected(fuse, args, kind):
+    with pytest.raises(ValidationError) as err:
+        fuse("harmonic", *args)
+    assert err.value.problems == [f"unknown {kind} 'harmonic'"]
 
 
 # --- set-valued sources -----------------------------------------------------------------

@@ -739,6 +739,25 @@ def test_precision_flag(capsys):
     assert "0.3142857142857143" in raw
 
 
+def test_precision_is_bounded_by_the_longest_exact_double(capsys):
+    argv = ["fuse", "--scenario", fixture("three_sources.dsm"), "--precision"]
+    assert cli.main(argv + ["1074"]) == 0
+    assert "0." + "0" * 1074 in capsys.readouterr().out
+    for value in ("1075", "99999999999"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [value])
+        assert exc.value.code == 2
+        assert "precision must be between 0 and 1074" in capsys.readouterr().err
+
+
+def test_many_sources_fuse(tmp_path, capsys):
+    doc = tmp_path / "many.dsm"
+    doc.write_text("frame: a b\n" + "".join(f"source m{i}:\n  a | b = 1.0\n" for i in range(1200)))
+    assert cli.main(["fuse", "--scenario", str(doc)]) == 0
+    out = capsys.readouterr().out
+    assert out.split("mass:\n")[1].split("conflict:")[0] == "  a|b      1.000000\n"
+
+
 def test_decide_flag_adds_sections(capsys):
     cli.main(["fuse", "--scenario", fixture("three_sources.dsm"),
               "--rule", "dsm_hybrid", "--decide"])
