@@ -23,11 +23,10 @@ None) is added on the int bits `key`, or handed back as dropped when
   union of a forbidden intersection and drops the mass whose union is
   forbidden too; the degree-weighted rules weight each pair.
 
-The walk folds source by source. For each item of the first source it
-folds the middle sources, one at a time, into a list of (prefix state,
-prefix value) pairs, so each prefix's state and kernel value are computed
-once; it then lands each prefix on the last source, each distinct final
-state once. Every tuple still adds its own left-folded value, in
+The walk folds source by source on an explicit stack of prefixes, depth
+first: each prefix's state and kernel value are computed once, the stack
+holds at most the sources' focal counts summed, and each distinct final
+state is landed once. Every tuple still adds its own left-folded value, in
 lexicographic tuple order: the floats of a tuple-by-tuple walk. Values are
 not summed per state before the last kernel (a*b + a*c as a*(b + c)): that
 moves floats in the last place, and set arithmetic is only
@@ -119,30 +118,31 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
     first, *middle, last = [[(facts(el), v) for el, v in _focal_items(m)] for m in sources]
     landed, rows, acc = {}, {}, {}
     conflict = lost = zero
-    for prefix in first:
-        # one first item at a time keeps the list to the middle sources' product
-        prefixes = [prefix]
-        for items in middle:
-            prefixes = [(step(s, f), kernel(v, w)) for s, v in prefixes for f, w in items]
-        for state, v in prefixes:
-            # the landings of the last source's items after this prefix state
-            row = rows.get(state)
-            if row is None:
-                row = rows[state] = []
-                for fact, w in last:
-                    final = step(state, fact)
-                    if final not in landed:
-                        landed[final] = land(final)
-                    row.append((*landed[final], w))
-            for key, weight, dead, w in row:
-                x = kernel(v, w)
-                value = x if weight is None else weight * x
-                if dead:
-                    conflict = conflict + x
-                if key is None:
-                    lost = lost + value
-                else:
-                    acc[key] = acc.get(key, zero) + value
+    # (prefix state, value, middle sources folded); reversed pops in tuple order
+    stack = [(s, v, 0) for s, v in reversed(first)]
+    while stack:
+        state, v, d = stack.pop()
+        if d < len(middle):
+            stack += [(step(state, f), kernel(v, w), d + 1) for f, w in reversed(middle[d])]
+            continue
+        # the landings of the last source's items after this prefix state
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = []
+            for fact, w in last:
+                final = step(state, fact)
+                if final not in landed:
+                    landed[final] = land(final)
+                row.append((*landed[final], w))
+        for key, weight, dead, w in row:
+            x = kernel(v, w)
+            value = x if weight is None else weight * x
+            if dead:
+                conflict = conflict + x
+            if key is None:
+                lost = lost + value
+            else:
+                acc[key] = acc.get(key, zero) + value
     return {LatticeElement(sources[0].frame, k): v for k, v in acc.items()}, conflict, lost
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -145,6 +146,20 @@ def test_many_sources_fuse():
     sources = [PreciseMass(F3, {TH1 | TH2: 1.0})] * 1200
     assert dsm_classic(sources).mass_of(TH1 | TH2) == 1.0
     assert dsm_hybrid(THIRD_RULED_OUT, sources).mass_of(TH1 | TH2) == 1.0
+
+
+def test_walk_memory_does_not_grow_with_the_tuples():
+    """14 two-focal sources are 16,384 tuples; the walk keeps one pending
+    prefix per focal item of a source on the path, not one per prefix."""
+    sources = [PreciseMass(F3, {TH1 | TH2: 0.5, TH2 | TH3: 0.5})] * 14
+    expected = dsm_classic(sources).mass
+    tracemalloc.start()
+    try:
+        assert dsm_classic(sources).mass == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # --- transfer rule -------------------------------------------------------------------
