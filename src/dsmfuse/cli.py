@@ -16,7 +16,7 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
-from .lattice import Frame, Model
+from .lattice import Frame, Model, expressions
 from .mass import format_set
 from .neutro import NeutrosophicTriple
 from .scenario import _format_value, load_scenario, run
@@ -101,10 +101,10 @@ def _cmd_fuse(args):
 
 
 def _lattice_rows(model):
-    """Yield (canonical expression, cardinality) per distinct element; the
-    elements come reduced, so a cardinality is a bit count."""
-    for el in model.iter_alive_elements():
-        yield el.expr(style="ascii"), el.bits.bit_count()
+    """Iterators over the distinct elements' canonical expressions and
+    cardinalities, read from the model's reduced alive bitsets."""
+    bits = model.alive_bits()
+    return expressions(model.frame.labels, "ascii", bits), map(int.bit_count, bits)
 
 
 def _cmd_lattice(args):
@@ -132,11 +132,10 @@ def _stream_lattice_json(frame, model):
     out.write("{\n" + ",\n".join(_json_head(frame, model)) + ',\n  "elements": [')
     count = 0
     sep = "\n"
-    for e, c in _lattice_rows(model):
-        out.write(f'{sep}    {{\n      "index": {count},\n      "expression": {_json_str(e)},\n'
+    for count, (e, c) in enumerate(zip(*_lattice_rows(model)), 1):
+        out.write(f'{sep}    {{\n      "index": {count - 1},\n      "expression": {_json_str(e)},\n'
                   f'      "cardinality": {c}\n    }}')
         sep = ",\n"
-        count += 1
     out.write("]" if count == 0 else "\n  ]")
     out.write(f',\n  "count": {count}\n}}\n')
     return EXIT_OK
@@ -144,12 +143,10 @@ def _stream_lattice_json(frame, model):
 
 def _stream_lattice_table(model):
     # the expression column is as wide as the widest row, so every row is
-    # rendered once and held until the width is known; at six hypotheses
-    # that holds 7.8 million expressions, their cardinalities a byte each
-    exprs, cards = [], bytearray()
-    for e, c in _lattice_rows(model):
-        exprs.append(e)
-        cards.append(c)
+    # rendered once and held until the width is known (7.8 million strings
+    # at six hypotheses); the cardinalities are counted as the rows print
+    exprs, cards = _lattice_rows(model)
+    exprs = list(exprs)
     width = max(max(map(len, exprs), default=0), len("expression"))
     out = sys.stdout
     out.write(f"{'index':>5}  {'expression':<{width}}  cardinality\n")
@@ -197,13 +194,19 @@ def _json_strings(strings, pad):
     return _json_wrap([inner + _json_str(text) for text in strings], pad, "[]")
 
 
-def _json_rows(table, precision, pad):
+def _ascii_items(labels, table):
+    """(canonical expression, value) per item of an element-keyed table."""
+    items = table.items()
+    return zip(expressions(labels, "ascii", [el.bits for el, _ in items]), [v for _, v in items])
+
+
+def _json_rows(table, labels, precision, pad):
     """A table's values keyed by each element's canonical expression. The
     keyed dict is freed before the rows are joined: a pignistic table can
     have thousands of rows."""
     inner = pad + "  "
     rows = [f"{inner}{_json_str(k)}: {_json_text(v, precision, inner)}"
-            for k, v in {el.expr(style="ascii"): v for el, v in table.items()}.items()]
+            for k, v in dict(_ascii_items(labels, table)).items()]
     return _json_wrap(rows, pad)
 
 
@@ -215,7 +218,7 @@ def _json_head(frame, model):
     return [f'  "frame": {_json_strings(frame.labels, "  ")}', f'  "model": {model_doc}']
 
 
-def _json_task(r, precision):
+def _json_task(r, labels, precision):
     """One entry of a report's "tasks" array."""
     pad = "      "
     fields = [f'{pad}"rule": {_json_str(r.report.rule if r.report is not None else r.rule)}']
@@ -225,14 +228,14 @@ def _json_task(r, precision):
     warnings = list(r.report.warnings)
     if r.pignistic is not None:
         warnings += list(r.pignistic.warnings)
-    fields.append(f'{pad}"mass": {_json_rows(r.report.mass, precision, pad)}')
+    fields.append(f'{pad}"mass": {_json_rows(r.report.mass, labels, precision, pad)}')
     fields.append(f'{pad}"conflict": {_json_text(r.report.conflict, precision, pad)}')
     fields.append(f'{pad}"warnings": {_json_strings(warnings, pad)}')
     if r.bel is not None:
-        fields.append(f'{pad}"bel": {_json_rows(r.bel, precision, pad)}')
-        fields.append(f'{pad}"pl": {_json_rows(r.pl, precision, pad)}')
+        fields.append(f'{pad}"bel": {_json_rows(r.bel, labels, precision, pad)}')
+        fields.append(f'{pad}"pl": {_json_rows(r.pl, labels, precision, pad)}')
     if r.pignistic is not None:
-        fields.append(f'{pad}"pignistic": {_json_rows(r.pignistic, precision, pad)}')
+        fields.append(f'{pad}"pignistic": {_json_rows(r.pignistic, labels, precision, pad)}')
     if r.decision is not None:
         inner = pad + "  "
         decision = [f'{inner}"choice": {_json_str(r.decision.choice.expr(style="ascii"))}',
@@ -245,7 +248,7 @@ def _json_task(r, precision):
 # --- fuse rendering ---------------------------------------------------------------
 
 def _render_json(scenario, results, precision):
-    tasks = _json_wrap([_json_task(r, precision) for r in results], "  ", "[]")
+    tasks = _json_wrap([_json_task(r, scenario.frame.labels, precision) for r in results], "  ", "[]")
     head = _json_head(scenario.frame, scenario.model)
     return _json_wrap(head + [f'  "tasks": {tasks}'], "") + "\n"
 
@@ -262,22 +265,22 @@ def _render_table(scenario, results, precision):
     for _, group in groupby(results, key=lambda r: id(r.task)):
         group = list(group)
         if group[0].task.kind == "compare":
-            lines.extend(_compare_table(group, precision))
+            lines.extend(_compare_table(group, scenario.frame.labels, precision))
         else:
             for r in group:
-                lines.extend(_single_block(r, precision))
+                lines.extend(_single_block(r, scenario.frame.labels, precision))
     return "\n".join(lines) + "\n"
 
 
-def _single_block(r, precision):
+def _single_block(r, labels, precision):
     name = r.report.rule if r.report is not None else r.rule
     lines = ["", f"rule: {name}"]
     if r.error is not None:
         lines.append(f"error: {type(r.error).__name__}: {r.error}")
         return lines
-    rows = {el.expr(style="ascii"): _format_value(v, precision) for el, v in r.report.mass.items()}
+    rows = {k: _format_value(v, precision) for k, v in _ascii_items(labels, r.report.mass)}
     pignistic = [] if r.pignistic is None else \
-        [(el.expr(style="ascii"), _format_value(v, precision)) for el, v in r.pignistic.items()]
+        [(k, _format_value(v, precision)) for k, v in _ascii_items(labels, r.pignistic)]
     width = max([len(k) for k in rows] + [len(k) for k, _ in pignistic] + [7])
     lines.append("mass:")
     for k, v in rows.items():
@@ -285,9 +288,9 @@ def _single_block(r, precision):
     lines.append(f"conflict: {_format_value(r.report.conflict, precision)}")
     if r.bel is not None:
         lines.append("bel/pl:")
-        for el in r.bel:
+        for k, el in zip(expressions(labels, "ascii", [el.bits for el in r.bel]), r.bel):
             bel, pl = _format_value(r.bel[el], precision), _format_value(r.pl[el], precision)
-            lines.append(f"  {el.expr(style='ascii'):<{width}}  {bel}  {pl}")
+            lines.append(f"  {k:<{width}}  {bel}  {pl}")
     if r.pignistic is not None:
         lines.append("pignistic:")
         for k, v in pignistic:
@@ -304,7 +307,7 @@ def _single_block(r, precision):
     return lines
 
 
-def _compare_table(results, precision):
+def _compare_table(results, labels, precision):
     # union of focal rows across rules, one column per rule; rows that render
     # to the same expression share a line even when the rules key them by
     # different (free vs reduced) lattice elements
@@ -315,8 +318,8 @@ def _compare_table(results, precision):
             per_rule.append({})
             continue
         rows = {}
-        for el, v in r.report.mass.items():
-            label = el.expr(style="ascii")
+        mass = r.report.mass.items()
+        for label, (el, v) in zip(expressions(labels, "ascii", [el.bits for el, _ in mass]), mass):
             rows[label] = _format_value(v, precision)
             sort_key = (el.bits.bit_count(), el.bits)
             if label not in order or sort_key < order[label]:

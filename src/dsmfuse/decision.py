@@ -147,13 +147,8 @@ def decide(dist, candidates=None):
     """
     model = dist.model
     if candidates is None:
-        candidates = []
-        seen = set()
-        for i in range(1, model.frame.n + 1):
-            r = model.reduce(model.frame.atom(i))
-            if r.bits and r.bits not in seen:
-                seen.add(r.bits)
-                candidates.append(r)
+        atoms = (model.reduce(model.frame.atom(i)) for i in range(1, model.frame.n + 1))
+        candidates = [c for c in dict.fromkeys(atoms) if c.bits]  # distinct, in order
     else:
         candidates = [model.reduce(c) for c in candidates]
     if not candidates:

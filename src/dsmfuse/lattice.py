@@ -20,14 +20,16 @@ fused key.
 
 A Model declares which parts are impossible (empty). Reducing an element
 under a model clears its dead parts; two elements are equal under the model
-when their reduced bitsets are equal.
+when their reduced bitsets are equal. Listings stay on ints: alive_bits
+hands out a model's alive bitsets and expressions renders them in one
+batch; a LatticeElement wraps a bitset only where a caller is handed one.
 """
 
 from array import array
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
-from itertools import chain
-from operator import add, getitem, or_
+from functools import cache, lru_cache, partial, reduce
+from itertools import repeat
+from operator import and_, getitem, or_
 
 from .errors import (
     DegenerateModel,
@@ -96,15 +98,32 @@ def _minimal(n, bits):
 @lru_cache(maxsize=32)
 def _terms(labels, unicode):
     """Rendering table for a frame's labels: the empty and union symbols,
-    each part bit's bare term, the rank tables of _part_tables, and per byte
-    of a rank-ordered bitset the tuple of its terms as printed inside a union
-    of two or more terms."""
+    each part bit's bare term, the tables of _part_tables, and per byte of a
+    rank-ordered bitset its terms as printed inside a union of two or more
+    terms, already joined by the union symbol ("" for no term)."""
     inter, union, empty = ("∩", "∪", "∅") if unicode else ("&", "|", "{}")
-    _, ranked, order = _part_tables(len(labels))
+    above, ranked, order = _part_tables(len(labels))
     bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1)
             for s in range(1, 1 << len(labels))]
-    paren = [(bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})",) for s in order]
-    return empty, union, bare, ranked, _per_byte(paren, (), add)
+    paren = [bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})" for s in order]
+    joined = _per_byte(paren, "", lambda head, term: f"{head}{union}{term}" if head else term)
+    return empty, union, bare, above, ranked, joined
+
+
+def expressions(labels, style, bitsets):
+    """Yield each bitset's canonical expression over the frame with these
+    labels, style "unicode" or "ascii": the union of the intersections its
+    minimal parts name, in (size, mask) rank order."""
+    empty, union, bare, above, ranked, joined = _terms(tuple(labels), style == "unicode")
+    width = len(above)
+    for bits in bitsets:
+        bits &= ~reduce(or_, map(getitem, above, bits.to_bytes(width, "little")), 0)  # _minimal
+        if bits & (bits - 1) == 0:
+            yield bare[bits.bit_length() - 1] if bits else empty
+            continue
+        # each part has its own rank, so the bytes' rank bits are disjoint and add up
+        bits = sum(map(getitem, ranked, bits.to_bytes(width, "little")))
+        yield union.join(filter(None, map(getitem, joined, bits.to_bytes(width, "little"))))
 
 
 def _overlaps(n):
@@ -168,17 +187,20 @@ class LatticeElement:
     """One lattice element: an upward-closed family of parts over a frame.
 
     Supports & (meet), | (join), <= (free-lattice containment). Instances
-    are immutable and hashable, usable as mass-function keys.
+    are immutable and hashable, usable as mass-function keys. bits must be
+    an int: the constructor stores it as given.
     """
 
     __slots__ = ("frame", "bits")
 
     def __init__(self, frame, bits):
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "bits", int(bits))
+        _set_frame(self, frame)
+        _set_bits(self, bits)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):
         raise AttributeError("LatticeElement is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if not isinstance(other, LatticeElement):
@@ -225,40 +247,25 @@ class LatticeElement:
         intersections of the hypotheses named in each part.
         """
         bits = _minimal(self.frame.n, self.bits)
-        minimal = []
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            minimal.append(low.bit_length())
-        minimal.sort(key=lambda s: (s.bit_count(), s))
-        return minimal
+        return [s for s in _part_tables(self.frame.n)[2] if bits >> (s - 1) & 1]
 
     def expr(self, style="unicode"):
         """Canonical expression: union of intersections of minimal parts."""
-        empty, union, bare, ranked, terms = _terms(self.frame.labels, style == "unicode")
-        bits = _minimal(len(self.frame.labels), self.bits)
-        if bits & (bits - 1) == 0:
-            return bare[bits.bit_length() - 1] if bits else empty
-        # each part has its own rank, so the bytes' rank bits are disjoint and add up
-        bits = sum(map(getitem, ranked, bits.to_bytes(len(ranked), "little")))
-        return union.join(chain.from_iterable(
-            map(getitem, terms, bits.to_bytes(len(terms), "little"))))
+        return next(expressions(self.frame.labels, style, (self.bits,)))
 
     def __repr__(self):
         return f"<{self.expr()}>"
+
+
+_set_frame, _set_bits = LatticeElement.frame.__set__, LatticeElement.bits.__set__  # skip the guard
 
 
 def component_union(x):
     """Union of every hypothesis appearing in x's canonical form."""
     if x.bits == 0:
         raise EmptyArgument("component union undefined on the empty element")
-    n = x.frame.n
-    minimal = _minimal(n, x.bits)
-    out = 0
-    for atom in _atoms(n):
-        if minimal & atom:
-            out |= atom
-    return LatticeElement(x.frame, out)
+    minimal = _minimal(x.frame.n, x.bits)
+    return LatticeElement(x.frame, reduce(or_, [a for a in _atoms(x.frame.n) if minimal & a], 0))
 
 
 def upward_closure(x):
@@ -398,21 +405,16 @@ class Model:
         """True when every overlap of two or more hypotheses is empty."""
         return _overlaps(self.frame.n) & ~self.emptied == 0
 
+    def alive_bits(self):
+        """Distinct reduced bitsets, empty first, in the order they first occur
+        in the free table: that table itself (63 MB at n = 6) if none is emptied."""
+        if not self.emptied:
+            return _free_table(self.frame.n)
+        return array("Q", dict.fromkeys(map(and_, _free_table(self.frame.n), repeat(~self.emptied))))
+
     def iter_alive_elements(self):
-        """Yield distinct reduced elements, deterministic order, empty first,
-        walking the free table of the frame size (63 MB at six hypotheses);
-        a reduced model also keeps a set of the reduced bitsets seen."""
-        if self.emptied == 0:
-            # nothing to reduce, so the free enumeration is already distinct
-            for b in _free_table(self.frame.n):
-                yield LatticeElement(self.frame, b)
-            return
-        seen = set()
-        for b in _free_table(self.frame.n):
-            r = b & ~self.emptied
-            if r not in seen:
-                seen.add(r)
-                yield LatticeElement(self.frame, r)
+        """Iterator over the distinct reduced elements, in alive_bits order."""
+        return map(partial(LatticeElement, self.frame), self.alive_bits())
 
     def alive_elements(self):
         """Distinct reduced elements, deterministic order, empty first."""

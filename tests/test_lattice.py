@@ -3,6 +3,8 @@ import itertools
 import os
 import sys
 from array import array
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,11 @@ from dsmfuse.lattice import (
     canonical_form,
     component_union,
     dsm_cardinality,
+    _free_table,
     enumerate_bitsets,
     enumerate_hyper_power_set,
     exclusivity,
+    expressions,
     total_ignorance,
     upward_closure,
 )
@@ -364,6 +368,17 @@ def test_element_repr_and_hash():
         a.bits = 0
 
 
+def test_element_refuses_assignment_and_deletion():
+    x = frame_of(2).atom(1)
+    for name in ("frame", "bits"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, frame_of(1) if name == "frame" else 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, name)
+    # still whole, so still usable as a key
+    assert x == frame_of(2).atom(1) and hash(x) == hash(x.bits)
+
+
 # --- the mask algebra against part-by-part reference loops ---------------------
 
 def ref_atom(n, index):
@@ -517,3 +532,84 @@ def test_reduced_expressions_match_reference():
         for x in m.iter_alive_elements():
             for style in ("unicode", "ascii"):
                 assert x.expr(style=style) == ref_expr(f, x.bits, style)
+
+
+# --- alive bitsets and batch rendering against their originals ------------------
+
+@st.composite
+def small_models(draw):
+    """A free, shafer or hybrid model over 1-5 hypotheses, the last two with
+    up to three constraints, each the meet of some hypotheses."""
+    n = draw(st.integers(1, 5))
+    f = frame_of(n)
+    kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
+    meet = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True).map(
+        lambda picks: reduce(and_, (f.atom(i) for i in picks)))
+    return Model(f, kind, [] if kind == "free" else draw(st.lists(meet, max_size=3)))
+
+
+def five_hypothesis_models():
+    f = frame_of(5)
+    return [
+        Model.shafer(f),
+        Model.hybrid(f, [exclusivity(f, 1, 2)]),
+        Model.hybrid(f, [exclusivity(f, 1, 3), exclusivity(f, 2, 4),
+                         f.atom(3) & f.atom(4) & f.atom(5)]),
+    ]
+
+
+def ref_alive_elements(model):
+    """Distinct reduced elements by a set-dedupe walk over the free table."""
+    if model.emptied == 0:
+        # nothing to reduce, so the free enumeration is already distinct
+        for b in _free_table(model.frame.n):
+            yield LatticeElement(model.frame, b)
+        return
+    seen = set()
+    for b in _free_table(model.frame.n):
+        r = b & ~model.emptied
+        if r not in seen:
+            seen.add(r)
+            yield LatticeElement(model.frame, r)
+
+
+def assert_alive_bits_match_reference(model):
+    assert list(model.alive_bits()) == [el.bits for el in ref_alive_elements(model)]
+
+
+@given(small_models())
+@settings(max_examples=60, deadline=None)
+def test_alive_bits_match_the_dedupe_walk(model):
+    assert_alive_bits_match_reference(model)
+
+
+def test_alive_bits_match_the_dedupe_walk_on_five_hypotheses():
+    for m in five_hypothesis_models() + [Model.free(frame_of(5))]:
+        assert_alive_bits_match_reference(m)
+
+
+def assert_expressions_match_reference(f, bitsets):
+    for style in ("unicode", "ascii"):
+        batch = list(expressions(f.labels, style, bitsets))
+        assert batch == [ref_expr(f, b, style) for b in bitsets]
+        assert batch == [LatticeElement(f, b).expr(style) for b in bitsets]
+
+
+@given(small_models())
+@settings(max_examples=30, deadline=None)
+def test_expressions_match_reference_on_alive_bitsets(model):
+    assert_expressions_match_reference(model.frame, model.alive_bits())
+
+
+def test_expressions_match_reference_on_five_hypothesis_models():
+    for m in five_hypothesis_models():
+        assert_expressions_match_reference(m.frame, m.alive_bits())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_expressions_match_reference_on_any_bitsets(data):
+    # any family of parts, so the partial last byte at n=6 is covered too
+    n = data.draw(st.integers(4, 6))
+    bitsets = data.draw(st.lists(st.integers(0, (1 << ((1 << n) - 1)) - 1), max_size=8))
+    assert_expressions_match_reference(frame_of(n), bitsets)
