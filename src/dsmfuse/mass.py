@@ -12,10 +12,17 @@ either operand attains zero.
 Endpoints are plain floats. Point-valued sets therefore run the same float
 operations as the precise rules, which keeps the imprecise rules an exact
 superset of the precise ones.
+
+Endpoints are ordered by value, then closedness: a start (lower end) is
+keyed (value, not closed) and an end (value, closed). A piece is nonempty
+when its start key is below its end key, sorted pieces touch when one's end
+key is not below the next one's start key, a union keeps the max end and an
+intersection the max start and min end. Closedness is read from the keys and
+values from plain max and min, which keeps signed zeros where they were.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     EmptyOperand,
@@ -29,25 +36,25 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One maximal run of a subunitary set: an interval or a point."""
+class Piece(namedtuple("Piece", "lower upper lower_closed upper_closed")):
+    """One maximal run of a subunitary set: an interval or a point.
 
-    lower: float
-    upper: float
-    lower_closed: bool = True
-    upper_closed: bool = True
+    A validated named tuple: it unpacks, indexes and compares as the 4-tuple
+    (lower, upper, lower_closed, upper_closed). Bounds are cast to float and
+    must be in order, flags to bool; a degenerate piece is a closed point.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
-        if self.lower > self.upper:
-            raise ValueError(f"piece bounds out of order: {self.lower} > {self.upper}")
-        if self.lower == self.upper:
+    __slots__ = ()
+
+    def __new__(cls, lower, upper, lower_closed=True, upper_closed=True):
+        lower, upper = float(lower), float(upper)
+        if lower > upper:
+            raise ValueError(f"piece bounds out of order: {lower} > {upper}")
+        if lower == upper:
             # A degenerate interval that is attained is a point; the
             # arithmetic below never produces an unattained one.
-            object.__setattr__(self, "lower_closed", True)
-            object.__setattr__(self, "upper_closed", True)
+            lower_closed = upper_closed = True
+        return tuple.__new__(cls, (lower, upper, bool(lower_closed), bool(upper_closed)))
 
     @property
     def is_point(self):
@@ -64,21 +71,11 @@ def _merge(pieces):
     pieces = sorted(pieces, key=lambda p: (p.lower, not p.lower_closed, p.upper))
     out = []
     for p in pieces:
-        if out:
-            cur = out[-1]
-            touches = p.lower < cur.upper or (
-                p.lower == cur.upper and (p.lower_closed or cur.upper_closed)
-            )
-            if touches:
-                if p.upper > cur.upper:
-                    up, upc = p.upper, p.upper_closed
-                elif p.upper == cur.upper:
-                    up, upc = cur.upper, cur.upper_closed or p.upper_closed
-                else:
-                    up, upc = cur.upper, cur.upper_closed
-                out[-1] = Piece(cur.lower, up, cur.lower_closed, upc)
-                continue
-        out.append(p)
+        if out and (out[-1].upper, out[-1].upper_closed) >= (p.lower, not p.lower_closed):
+            lo, up, loc, upc = out[-1]
+            out[-1] = Piece(lo, max(up, p.upper), loc, max((up, upc), (p.upper, p.upper_closed))[1])
+        else:
+            out.append(p)
     return out
 
 
@@ -142,54 +139,29 @@ class SubunitarySet:
         return self._binary(other, _piece_mul)
 
     def clamp01(self):
-        """Pointwise image under min(1, max(0, .))."""
-        out = []
-        for p in self.pieces:
-            lo, loc = p.lower, p.lower_closed
-            up, upc = p.upper, p.upper_closed
-            if lo < 0:
-                lo, loc = 0.0, True
-            if up > 1:
-                up, upc = 1.0, True
-            if up < 0:
-                lo = up = 0.0
-            if lo > 1:
-                lo = up = 1.0
-            out.append(Piece(min(lo, up), up, loc, upc))
-        return SubunitarySet(out)
+        """Pointwise image under min(1, max(0, .)): a clamped end is attained."""
+        return SubunitarySet([
+            Piece(min(max(lo, 0.0), 1.0), min(max(up, 0.0), 1.0), lc or lo < 0, uc or up > 1)
+            for lo, up, lc, uc in self.pieces
+        ])
 
     def intersection(self, other):
         """Set intersection, or None when disjoint."""
         out = []
         for a in self.pieces:
             for b in other.pieces:
-                lo = max(a.lower, b.lower)
-                if a.lower > b.lower:
-                    loc = a.lower_closed
-                elif b.lower > a.lower:
-                    loc = b.lower_closed
-                else:
-                    loc = a.lower_closed and b.lower_closed
-                up = min(a.upper, b.upper)
-                if a.upper < b.upper:
-                    upc = a.upper_closed
-                elif b.upper < a.upper:
-                    upc = b.upper_closed
-                else:
-                    upc = a.upper_closed and b.upper_closed
-                if lo < up or (lo == up and loc and upc):
-                    out.append(Piece(lo, up, loc, upc))
+                start = max((a.lower, not a.lower_closed), (b.lower, not b.lower_closed))
+                end = min((a.upper, a.upper_closed), (b.upper, b.upper_closed))
+                if start < end:
+                    out.append(Piece(max(a.lower, b.lower), min(a.upper, b.upper),
+                                     not start[1], end[1]))
         return SubunitarySet(out) if out else None
 
     def approx_equal(self, other, tol=1e-6):
-        if len(self.pieces) != len(other.pieces):
-            return False
-        for a, b in zip(self.pieces, other.pieces):
-            if a.lower_closed != b.lower_closed or a.upper_closed != b.upper_closed:
-                return False
-            if abs(a.lower - b.lower) > tol or abs(a.upper - b.upper) > tol:
-                return False
-        return True
+        return len(self.pieces) == len(other.pieces) and not any(
+            a[2:] != b[2:] or abs(a.lower - b.lower) > tol or abs(a.upper - b.upper) > tol
+            for a, b in zip(self.pieces, other.pieces)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SubunitarySet):

@@ -178,9 +178,7 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     """Walk the focal pairs with the kernel applied componentwise, drop
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
-    if len(sources) != 2:
-        raise ValidationError([f"{rule} combines exactly 2 sources, got {len(sources)}"])
-    model, _ = _prepare(sources, rule, model, TripleMass)
+    model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
     # Exactly two sources, so the kernel always meets two source triples.
     acc, conflict, _ = _walk(
         sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO

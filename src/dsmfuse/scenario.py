@@ -55,7 +55,8 @@ _NOT_LABELS = {"&": "&", "∩": "&", "|": "|", "∪": "|", ")": ")", None: None}
 _MEETS = ("&", "∩")
 _JOINS = ("|", "∪")
 _NUMBER_RE = re.compile(_NUM)
-_SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b\s*:?")
+# a keyword followed by an operator or "=" starts a focal line, not a directive
+_SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b(?!\s*[=&|∩∪])\s*:?")
 
 # deepest parenthesis nesting parse_element accepts: it recurses per level
 MAX_NESTING = 100

@@ -1,7 +1,9 @@
 import math
+import operator
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse.errors import (
@@ -180,6 +182,209 @@ def test_sum_sets_folds_left():
     total = sum_sets(parts)
     assert total.inf == pytest.approx(0.4)
     assert total.sup == pytest.approx(0.6)
+
+
+# --- set arithmetic oracle ---------------------------------------------------------
+# The dataclass pieces and case-by-case endpoint rules the named-tuple pieces
+# replaced, kept word for word apart from names; a result set is the merged
+# list of pieces. The package must give the same pieces, openness and endpoint
+# floats, signed zeros included.
+
+@dataclass(frozen=True)
+class RefPiece:
+    """One maximal run of a subunitary set: an interval or a point."""
+
+    lower: float
+    upper: float
+    lower_closed: bool = True
+    upper_closed: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
+        if self.lower > self.upper:
+            raise ValueError(f"piece bounds out of order: {self.lower} > {self.upper}")
+        if self.lower == self.upper:
+            # A degenerate interval that is attained is a point; the
+            # arithmetic below never produces an unattained one.
+            object.__setattr__(self, "lower_closed", True)
+            object.__setattr__(self, "upper_closed", True)
+
+
+def ref_merge(pieces):
+    """Coalesce overlapping or touching pieces into maximal runs."""
+    pieces = sorted(pieces, key=lambda p: (p.lower, not p.lower_closed, p.upper))
+    out = []
+    for p in pieces:
+        if out:
+            cur = out[-1]
+            touches = p.lower < cur.upper or (
+                p.lower == cur.upper and (p.lower_closed or cur.upper_closed)
+            )
+            if touches:
+                if p.upper > cur.upper:
+                    up, upc = p.upper, p.upper_closed
+                elif p.upper == cur.upper:
+                    up, upc = cur.upper, cur.upper_closed or p.upper_closed
+                else:
+                    up, upc = cur.upper, cur.upper_closed
+                out[-1] = RefPiece(cur.lower, up, cur.lower_closed, upc)
+                continue
+        out.append(p)
+    return out
+
+
+def ref_piece_add(a, b):
+    return RefPiece(
+        a.lower + b.lower,
+        a.upper + b.upper,
+        a.lower_closed and b.lower_closed,
+        a.upper_closed and b.upper_closed,
+    )
+
+
+def ref_piece_sub(a, b):
+    return RefPiece(
+        a.lower - b.upper,
+        a.upper - b.lower,
+        a.lower_closed and b.upper_closed,
+        a.upper_closed and b.lower_closed,
+    )
+
+
+def ref_piece_mul(a, b):
+    lo = a.lower * b.lower
+    up = a.upper * b.upper
+    loc = a.lower_closed and b.lower_closed
+    if lo == 0.0 and not loc:
+        # Zero is attained as soon as either factor attains it.
+        loc = (a.lower == 0.0 and a.lower_closed) or (b.lower == 0.0 and b.lower_closed)
+    return RefPiece(lo, up, loc, a.upper_closed and b.upper_closed)
+
+
+def ref_binary(a, b, op):
+    return ref_merge([op(x, y) for x in a for y in b])
+
+
+def ref_clamp01(pieces):
+    """Pointwise image under min(1, max(0, .))."""
+    out = []
+    for p in pieces:
+        lo, loc = p.lower, p.lower_closed
+        up, upc = p.upper, p.upper_closed
+        if lo < 0:
+            lo, loc = 0.0, True
+        if up > 1:
+            up, upc = 1.0, True
+        if up < 0:
+            lo = up = 0.0
+        if lo > 1:
+            lo = up = 1.0
+        out.append(RefPiece(min(lo, up), up, loc, upc))
+    return ref_merge(out)
+
+
+def ref_intersection(left, right):
+    """Set intersection, or None when disjoint."""
+    out = []
+    for a in left:
+        for b in right:
+            lo = max(a.lower, b.lower)
+            if a.lower > b.lower:
+                loc = a.lower_closed
+            elif b.lower > a.lower:
+                loc = b.lower_closed
+            else:
+                loc = a.lower_closed and b.lower_closed
+            up = min(a.upper, b.upper)
+            if a.upper < b.upper:
+                upc = a.upper_closed
+            elif b.upper < a.upper:
+                upc = b.upper_closed
+            else:
+                upc = a.upper_closed and b.upper_closed
+            if lo < up or (lo == up and loc and upc):
+                out.append(RefPiece(lo, up, loc, upc))
+    return ref_merge(out) if out else None
+
+
+# signed zeros, the unit's ends, just past 1, tiny and out-of-range values
+ENDPOINTS = (-1.5, -0.5, -0.0, 0.0, 1e-300, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.0000001, 1.5,
+             2.0)
+
+
+def piece_specs(endpoint):
+    """Lists of (lower, upper, lower_closed, upper_closed): open, closed,
+    half-open and point pieces, overlapping, touching or apart."""
+    piece = st.tuples(endpoint, endpoint, st.booleans(), st.booleans(), st.booleans()).map(
+        lambda t: (t[0], t[0], t[2], t[3]) if t[4] else (min(t[:2]), max(t[:2]), t[2], t[3])
+    )
+    return st.lists(piece, min_size=1, max_size=4)
+
+
+any_endpoint = st.one_of(st.sampled_from(ENDPOINTS), st.floats(-2, 2, width=32))
+nonnegative_endpoint = st.one_of(st.sampled_from([x for x in ENDPOINTS if x >= 0]),
+                                 st.floats(0, 2, width=32))
+
+
+def rows(pieces):
+    """Pieces as comparable rows; the reprs tell -0.0 from 0.0."""
+    if pieces is None:
+        return None
+    return [(p.lower, p.upper, p.lower_closed, p.upper_closed, repr(p.lower), repr(p.upper))
+            for p in pieces]
+
+
+def both(spec):
+    return SubunitarySet([Piece(*s) for s in spec]), ref_merge([RefPiece(*s) for s in spec])
+
+
+@settings(max_examples=500, deadline=None)
+@given(piece_specs(any_endpoint), piece_specs(any_endpoint))
+@example([(0.0, 0.7, True, True)], [(-0.0, 1.0000001, False, False)])
+@example([(-0.5, -0.0, False, False)], [(0.0, 1.5, False, True)])
+def test_set_arithmetic_matches_the_reference(left, right):
+    a, ref_a = both(left)
+    b, ref_b = both(right)
+    assert rows(a.pieces) == rows(ref_a)
+    assert rows(b.pieces) == rows(ref_b)
+    for op, ref_op in ((operator.add, ref_piece_add), (operator.sub, ref_piece_sub)):
+        got = op(a, b)
+        want = ref_binary(ref_a, ref_b, ref_op)
+        assert rows(got.pieces) == rows(want)
+        assert rows(got.clamp01().pieces) == rows(ref_clamp01(want))
+    assert rows(a.clamp01().pieces) == rows(ref_clamp01(ref_a))
+    got = a.intersection(b)
+    assert rows(None if got is None else got.pieces) == rows(ref_intersection(ref_a, ref_b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_specs(nonnegative_endpoint), piece_specs(nonnegative_endpoint))
+@example([(-0.0, 0.5, False, True)], [(0.0, 0.0, True, True), (0.2, 1.0, False, False)])
+def test_set_product_matches_the_reference(left, right):
+    a, ref_a = both(left)
+    b, ref_b = both(right)
+    got = a * b
+    want = ref_binary(ref_a, ref_b, ref_piece_mul)
+    assert rows(got.pieces) == rows(want)
+    assert rows(got.clamp01().pieces) == rows(ref_clamp01(want))
+
+
+def test_piece_is_a_validated_four_tuple():
+    p = Piece(0, 0.5, False)
+    lower, upper, lower_closed, upper_closed = p
+    assert (lower, upper, lower_closed, upper_closed) == (0.0, 0.5, False, True) == p
+    assert p[0] is p.lower and type(p.lower) is float
+    assert hash(p) == hash((0.0, 0.5, False, True))
+    assert repr(p) == "Piece(lower=0.0, upper=0.5, lower_closed=False, upper_closed=True)"
+    assert tuple(Piece(0.3, 0.3, False, False)) == (0.3, 0.3, True, True)
+    # falsy flags are open ends, so the endpoint order can compare them
+    touching = SubunitarySet([Piece(0.1, 0.2, None, 0), Piece(0.2, 0.3, None, None)])
+    assert touching.pieces == ((0.1, 0.2, False, False), (0.2, 0.3, False, False))
+    with pytest.raises(ValueError, match="out of order"):
+        Piece(0.6, 0.5)
+    with pytest.raises(AttributeError):
+        p.lower = 0.1
 
 
 # --- parse and format ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dsmfuse.errors import ValidationError, ZeroSum
+from dsmfuse.errors import FewerThanTwoSources, ValidationError, ZeroSum
 from dsmfuse.lattice import Frame, Model, exclusivity
 from dsmfuse.mass import PreciseMass, SubunitarySet, parse_set
 from dsmfuse.neutro import (
@@ -211,3 +211,12 @@ def test_fusion_rejects_mismatched_sources():
         nnorm_fusion("algebraic", [m1, other])
     with pytest.raises(ValidationError):
         nnorm_fusion("algebraic", [m1, sample_sources()[0], sample_sources()[1]])
+
+
+@pytest.mark.parametrize("fuse", [nnorm_fusion, nconorm_fusion])
+def test_triple_fusion_counts_sources_like_every_rule(fuse):
+    m1, m2 = sample_sources()
+    with pytest.raises(FewerThanTwoSources, match=f"{fuse.__name__} needs at least two sources"):
+        fuse("algebraic", [m1])
+    with pytest.raises(ValidationError, match=f"{fuse.__name__} combines exactly 2 sources, got 3"):
+        fuse("algebraic", [m1, m2, m1])

@@ -15,3 +15,14 @@ def test_output_digest_is_repeatable():
     # 12 requests, the 10 fuse requests also at --precision 6 as JSON and as a table
     assert re.fullmatch(r"runs 32\nsha256 [0-9a-f]{64}\n", first)
     assert first == second
+
+
+def test_imprecise_outputs_are_pinned():
+    # Every imprecise and triple request of the benchmark pools on the default
+    # seeds, at full precision and at --precision 6. The set arithmetic must
+    # keep these bytes; a change to the generator in perfbench/workloads.py
+    # must re-pin the two values.
+    argv = [sys.executable, TOOL, "--workload", "imprecise_triple"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    assert out == ("runs 270\n"
+                   "sha256 498d6a1f2e96b76e9a59b4d972d97eab33f93fb7bbc4ee1f6262e36ae433af23\n")

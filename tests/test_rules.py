@@ -6,6 +6,7 @@ import pytest
 
 from dsmfuse.errors import (
     DegenerateModel,
+    DegenerateNormalization,
     FewerThanTwoSources,
     FrameMismatch,
     NotASubset,
@@ -506,6 +507,17 @@ def test_non_admissible_source_warns_but_fuses():
     r = dsm_classic_imprecise([low, ok])
     assert any("not admissible" in w for w in r.warnings)
     assert len(r.mass.items()) > 0
+
+
+def test_normalizing_rules_refuse_when_every_weighted_product_vanishes():
+    f = Frame(("a", "b"))
+    a, b = f.atom(1), f.atom(2)
+    even = PreciseMass(f, {a: 0.5, b: 0.5})
+    with pytest.raises(DegenerateNormalization, match=r"tnorm\[bounded\]: every weighted"):
+        tnorm_fusion("bounded", [even, even])
+    sure_a, sure_b = PreciseMass(f, {a: 1.0}), PreciseMass(f, {b: 1.0})
+    with pytest.raises(DegenerateNormalization, match="dsmc_improved: every weighted"):
+        dsmc_improved([sure_a, sure_b], model=Model.shafer(f))
 
 
 # --- argument checking -------------------------------------------------------------------

@@ -331,6 +331,51 @@ def test_emit_is_stable():
     assert emit_scenario(parse_scenario(emit_scenario(s))) == emit_scenario(s)
 
 
+KEYWORD_SOURCES = """
+frame: {kw} x y
+model: hybrid
+constraint: {kw} & x & y = 0
+source m1:
+  {kw} = 0.3
+  x = 0.2
+  {kw} | x = 0.2
+  {kw}&x = 0.1
+  {kw} ∪ y = 0.2
+source m2:
+  {kw} ∩ x = 0.5
+  {kw}|x = 0.4
+  y = 0.1
+task: dsm_hybrid
+"""
+
+
+def source_masses(s):
+    return [(name, [(el.bits, v) for el, v in m.items()]) for name, m in s.sources]
+
+
+@pytest.mark.parametrize("keyword", ["frame", "model", "constraint", "source", "task"])
+def test_directive_keywords_are_labels_on_focal_lines(keyword, tmp_path, capsys):
+    """A keyword followed by "=", "&", "|", "∩" or "∪" starts a focal line."""
+    text = KEYWORD_SOURCES.format(kw=keyword)
+    s = parse_scenario(text)
+    plain = parse_scenario(KEYWORD_SOURCES.format(kw="w"))
+    assert s.frame.labels == (keyword, "x", "y")
+    assert source_masses(s) == source_masses(plain)
+    assert [c.bits for c in s.model.constraints] == [c.bits for c in plain.model.constraints]
+    assert parse_scenario(emit_scenario(s)) == s
+
+    doc = {"frame": [keyword, "a"],
+           "sources": [{"name": keyword, "mass": {keyword: 0.6, "a": 0.4}},
+                       {"name": "m2", "mass": {f"{keyword}|a": 0.5, f"{keyword}&a": 0.5}}]}
+    from_json = from_json_dict(doc)
+    assert parse_scenario(emit_scenario(from_json)) == from_json
+
+    path = tmp_path / "keywords.dsm"
+    path.write_text(text)
+    assert cli.main(["fuse", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_json_document_equivalent():
     doc = {
         "frame": ["th1", "th2", "th3"],
@@ -870,6 +915,30 @@ def test_exit_codes(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert cli.main(["lattice", "--n", "0"]) == 0
     assert capsys.readouterr().out.endswith("1 elements\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("frame: a b\nsource m1:\n  a = 0.5\n  b = 0.5\nsource m2:\n  a = 0.5\n  b = 0.5\n"
+     "task: tnorm norm=bounded\n",
+     "DegenerateNormalization: tnorm[bounded]: every weighted product vanished"),
+    ("frame: a b\nmodel: shafer\nsource m1:\n  a = 1\nsource m2:\n  b = 1\n"
+     "task: dsmc_improved\n",
+     "DegenerateNormalization: dsmc_improved: every weighted product vanished"),
+    ("frame: a b\nsource m1:\n  a = (0.6, 0.1, 0.3)\ntask: nnorm\n",
+     "FewerThanTwoSources: nnorm_fusion needs at least two sources"),
+    ("frame: a b\nsource m1:\n  a = (0.6, 0.1, 0.3)\ntask: nconorm\n",
+     "FewerThanTwoSources: nconorm_fusion needs at least two sources"),
+    ("frame: a b\nsource m1:\n  a = 1\ntask: tnorm\n",
+     "FewerThanTwoSources: tnorm needs at least two sources"),
+], ids=["tnorm_bounded", "dsmc_improved", "nnorm_one_source", "nconorm_one_source",
+        "tnorm_one_source"])
+def test_fusion_errors_exit_3_with_one_line(text, message, tmp_path, capsys):
+    path = tmp_path / "refused.dsm"
+    path.write_text(text)
+    assert cli.main(["fuse", "--scenario", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_json_task_without_a_rule_uses_the_default_rule(tmp_path, capsys):
