@@ -12,11 +12,16 @@ Adding hypothesis j to a part that lacks it moves the part's bit up by 2**j,
 so (bits & ~atom_j) << 2**j grows every part of bits by j and n such
 shift-ORs close a bitset upward. Minimal parts and the (size, mask) rank
 order that expressions print in come from per-byte tables instead: the parts
-lying strictly above some part of a bitset, and the bitset moved into rank
-positions, are both OR-linear maps, so each is the OR of one table entry per
-byte of the bitset. This is exact on any bitset, not only upward-closed
-ones, which matters because model reduction strips dead parts from every
-fused key.
+lying strictly above no part of a bitset are the AND, and the bitset moved
+into rank positions the OR, of one table entry per byte of the bitset. This
+is exact on any bitset, not only upward-closed ones, which matters because
+model reduction strips dead parts from every fused key.
+
+expressions renders CHUNK bitsets at a time by byte column: packed in an
+array('Q'), byte k of every bitset is the stride raw[k::8], so each table
+step (minimal parts, rank, joined terms) is one map per column, folded
+across columns. Below COLUMN_MIN bitsets a loop over the elements on the
+same tables beats that pass's fixed cost.
 
 A Model declares which parts are impossible (empty). Reducing an element
 under a model clears its dead parts; two elements are equal under the model
@@ -25,11 +30,12 @@ hands out a model's alive bitsets and expressions renders them in one
 batch; a LatticeElement wraps a bitset only where a caller is handed one.
 """
 
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
-from itertools import repeat
-from operator import and_, getitem, or_
+from itertools import islice, repeat
+from operator import add, and_, getitem, or_
 
 from .errors import (
     DegenerateModel,
@@ -41,6 +47,8 @@ from .errors import (
 )
 
 MAX_FRAME_SIZE = 6
+CHUNK = 4096  # bitsets per column pass: bounds what a streaming listing holds at once
+COLUMN_MIN = 12  # below this many bitsets the per-element loop beats the column pass's fixed cost
 
 
 @cache
@@ -66,9 +74,10 @@ def _close_up(n, bits):
 def _per_byte(values, zero, join):
     """Per byte k of a part bitset, the table of join over the values of the
     bits set in each byte value v: v's entry is the entry without v's top
-    bit joined with that bit's value, one join per entry."""
+    bit joined with that bit's value, one join per entry. There is always a
+    table, so a fold over a bitset's bytes has a first entry."""
     tables = []
-    for base in range(0, len(values), 8):
+    for base in range(0, len(values) or 1, 8):
         table = [zero]
         for value in values[base:base + 8]:
             table += [join(entry, value) for entry in table]
@@ -78,52 +87,75 @@ def _per_byte(values, zero, join):
 
 @cache
 def _part_tables(n):
-    """Per-byte tables over n hypotheses: the parts strictly above each part,
-    and each part's bit moved to its rank in (size, mask) order; also the
-    subset-masks in rank order."""
+    """Per-byte tables over n hypotheses: the parts not strictly above any
+    part of the byte, and each part's bit moved to its rank in (size, mask)
+    order; also the subset-masks in rank order."""
+    full = (1 << ((1 << n) - 1)) - 1
     parts = [1 << p for p in range((1 << n) - 1)]
     order = sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s))
     rank = {s: r for r, s in enumerate(order)}
-    above = _per_byte([_close_up(n, b) & ~b for b in parts], 0, or_)
+    keep = _per_byte([full & ~(_close_up(n, b) & ~b) for b in parts], full, and_)
     ranked = _per_byte([1 << rank[b.bit_length()] for b in parts], 0, or_)
-    return above, ranked, order
+    return keep, ranked, order
 
 
 def _minimal(n, bits):
     """The parts of bits that contain no other part of bits."""
-    above = _part_tables(n)[0]
-    return bits & ~reduce(or_, map(getitem, above, bits.to_bytes(len(above), "little")), 0)
+    keep = _part_tables(n)[0]
+    return reduce(and_, map(getitem, keep, bits.to_bytes(len(keep), "little")), bits)
 
 
 @lru_cache(maxsize=32)
 def _terms(labels, unicode):
-    """Rendering table for a frame's labels: the empty and union symbols,
-    each part bit's bare term, the tables of _part_tables, and per byte of a
-    rank-ordered bitset its terms as printed inside a union of two or more
-    terms, already joined by the union symbol ("" for no term)."""
+    """Rendering table for a frame's labels: the union symbol, the
+    expression of the empty bitset and of each one-part bitset, the tables
+    of _part_tables, and per byte of a rank-ordered bitset its terms as
+    printed inside a union of two or more terms, each led by the union
+    symbol ("" for no term), so such a row is the entries' concatenation
+    less its leading symbol."""
     inter, union, empty = ("∩", "∪", "∅") if unicode else ("&", "|", "{}")
-    above, ranked, order = _part_tables(len(labels))
+    keep, ranked, order = _part_tables(len(labels))
     bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1)
             for s in range(1, 1 << len(labels))]
-    paren = [bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})" for s in order]
-    joined = _per_byte(paren, "", lambda head, term: f"{head}{union}{term}" if head else term)
-    return empty, union, bare, above, ranked, joined
+    paren = [union + (bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})") for s in order]
+    singles = dict(zip([0] + [1 << p for p in range(len(bare))], [empty] + bare))
+    return union, singles, keep, ranked, _per_byte(paren, "", add)
+
+
+def _column_fold(join, tables, bitsets, *start):
+    """Per bitset, join over its bytes k of table k's entry, after its item of
+    start if given: one map per byte column, a stride of the packed bytes."""
+    packed = array("Q", bitsets)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    raw = packed.tobytes()
+    entries = map(map, [t.__getitem__ for t in tables], [raw[k::8] for k in range(len(tables))])
+    return reduce(partial(map, join), entries, *start)
 
 
 def expressions(labels, style, bitsets):
     """Yield each bitset's canonical expression over the frame with these
     labels, style "unicode" or "ascii": the union of the intersections its
-    minimal parts name, in (size, mask) rank order."""
-    empty, union, bare, above, ranked, joined = _terms(tuple(labels), style == "unicode")
-    width = len(above)
-    for bits in bitsets:
-        bits &= ~reduce(or_, map(getitem, above, bits.to_bytes(width, "little")), 0)  # _minimal
-        if bits & (bits - 1) == 0:
-            yield bare[bits.bit_length() - 1] if bits else empty
+    minimal parts name, in (size, mask) rank order. Reads CHUNK bitsets at a
+    time; see the module docstring for the column pass and COLUMN_MIN."""
+    union, singles, keep, ranked, joined = _terms(tuple(labels), style == "unicode")
+    width, bitsets, size = len(keep), iter(bitsets), CHUNK
+    while size == CHUNK:  # a short chunk is the last
+        chunk = list(islice(bitsets, CHUNK))
+        size = len(chunk)
+        if size >= COLUMN_MIN:
+            chunk = list(_column_fold(and_, keep, chunk, chunk))  # _minimal
+            rows = _column_fold(add, joined, _column_fold(or_, ranked, chunk))
+            yield from map(singles.get, chunk, map(getitem, rows, repeat(slice(len(union), None))))
             continue
-        # each part has its own rank, so the bytes' rank bits are disjoint and add up
-        bits = sum(map(getitem, ranked, bits.to_bytes(width, "little")))
-        yield union.join(filter(None, map(getitem, joined, bits.to_bytes(width, "little"))))
+        for bits in chunk:
+            bits = reduce(and_, map(getitem, keep, bits.to_bytes(width, "little")), bits)  # _minimal
+            if bits & (bits - 1) == 0:
+                yield singles[bits]
+                continue
+            # each part has its own rank, so the bytes' rank bits are disjoint and add up
+            bits = sum(map(getitem, ranked, bits.to_bytes(width, "little")))
+            yield "".join(map(getitem, joined, bits.to_bytes(width, "little")))[len(union):]
 
 
 def _overlaps(n):

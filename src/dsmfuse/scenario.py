@@ -230,6 +230,9 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
         frame = Frame(tuple(frame_labels))
     except ValueError as exc:
         raise ValidationError([str(exc)]) from None
+    # emit_scenario writes labels and names verbatim; refuse what would read back changed
+    for label in filter(re.compile(r"[\s,#]").search, frame.labels):
+        raise ValidationError([f"hypothesis label {label!r} holds whitespace, ',' or '#'"])
 
     model_kind = model_kind or "free"
     if model_kind not in ("free", "shafer", "hybrid"):
@@ -248,6 +251,11 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
     sources = []
     seen_names = set()
     for name, entries, lineno in source_specs:
+        if "#" in name or name.splitlines() != [name] or name.strip().strip(":") != name \
+                or name[0] in "=&|∩∪":
+            problems.append(f"source name {name!r} must hold no '#' or line break, no space or "
+                            "':' at either end, and not start with '=', '&', '|', '∩' or '∪'")
+            continue
         if name in seen_names:
             problems.append(f"duplicate source name {name!r}")
             continue

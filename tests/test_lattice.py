@@ -19,6 +19,8 @@ from dsmfuse.errors import (
     IndexOutOfRange,
 )
 from dsmfuse.lattice import (
+    CHUNK,
+    COLUMN_MIN,
     MAX_FRAME_SIZE,
     Frame,
     LatticeElement,
@@ -609,7 +611,20 @@ def test_expressions_match_reference_on_five_hypothesis_models():
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_expressions_match_reference_on_any_bitsets(data):
-    # any family of parts, so the partial last byte at n=6 is covered too
-    n = data.draw(st.integers(4, 6))
-    bitsets = data.draw(st.lists(st.integers(0, (1 << ((1 << n) - 1)) - 1), max_size=8))
+    # any family of parts, so the partial last byte at n=6 is covered too; batch
+    # sizes on both sides of COLUMN_MIN, and a few past one CHUNK whose last
+    # chunk is itself on either side, by repeating a drawn batch
+    n = data.draw(st.integers(0, 6))
+    size = data.draw(st.integers(0, 3 * COLUMN_MIN))
+    bitsets = data.draw(st.lists(st.integers(0, (1 << ((1 << n) - 1)) - 1),
+                                 min_size=size, max_size=size))
+    if bitsets and data.draw(st.integers(0, 15)) == 15:
+        size = CHUNK + data.draw(st.sampled_from([1, COLUMN_MIN - 1, COLUMN_MIN]))
+        bitsets = list(itertools.islice(itertools.cycle(bitsets), size))
     assert_expressions_match_reference(frame_of(n), bitsets)
+
+
+def test_expressions_stream():
+    # a listing renders as it reads: one chunk, never the whole input
+    bits = frame_of(3).total_ignorance().bits
+    assert next(expressions(frame_of(3).labels, "ascii", itertools.repeat(bits))) == "th1|th2|th3"

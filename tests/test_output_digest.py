@@ -26,3 +26,13 @@ def test_imprecise_outputs_are_pinned():
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
     assert out == ("runs 270\n"
                    "sha256 498d6a1f2e96b76e9a59b4d972d97eab33f93fb7bbc4ee1f6262e36ae433af23\n")
+
+
+def test_wide_lattice_outputs_are_pinned():
+    # Every listing and pignistic table of the wide_lattice pool on seed 1:
+    # the byte-column renderer must keep these bytes; a change to the
+    # generator in perfbench/workloads.py must re-pin the two values.
+    argv = [sys.executable, TOOL, "--workload", "wide_lattice", "--seeds", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    assert out == ("runs 29\n"
+                   "sha256 850bba2ead22eddf71fcb25018dc96e4b5c88ab1d74ffd215f7941661f388715\n")

@@ -376,6 +376,46 @@ def test_directive_keywords_are_labels_on_focal_lines(keyword, tmp_path, capsys)
     assert capsys.readouterr().err == ""
 
 
+def two_source_doc(frame, name):
+    return {"frame": frame, "sources": [{"name": name, "mass": {frame[-1]: 1.0}},
+                                        {"mass": {frame[-1]: 1.0}}]}
+
+
+@pytest.mark.parametrize("name", ["m 1", "a:b", "x=y", "a\tb", "(m)", "é", "m1|"])
+def test_unusual_source_names_round_trip(name):
+    s = from_json_dict(two_source_doc(["th_1", "x"], name))
+    assert s.sources[0][0] == name
+    assert parse_scenario(emit_scenario(s)) == s
+
+
+@pytest.mark.parametrize("frame,name", [
+    (["a", "b"], "m#1"), (["a", "b"], "x:"), (["a", "b"], " lead"), (["a", "b"], "lag "),
+    (["a", "b"], "n\u2028x"), (["a", "b"], "n\nx"), (["a", "b"], "n\x85x"), (["a", "b"], ":x"),
+    (["a", "b"], "=x"), (["a", "b"], "|x"), (["a", "b"], ""),
+    (["a b", "c"], "m1"), (["a,b", "c"], "m1"), (["a#", "c"], "m1"), (["a\u2028b", "c"], "m1"),
+], ids=["hash", "trailing_colon", "leading_space", "trailing_space", "u2028", "newline", "nel",
+        "leading_colon", "leading_equals", "leading_bar", "empty", "label_space", "label_comma",
+        "label_hash", "label_u2028"])
+def test_names_and_labels_that_would_read_back_changed_are_refused(frame, name, tmp_path,
+                                                                  capsys):
+    """emit_scenario writes names and labels verbatim, so any that
+    parse_scenario would read back as something else are refused."""
+    doc = two_source_doc(frame, name)
+    with pytest.raises(ValidationError):
+        from_json_dict(doc)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["fuse", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_a_text_source_name_with_a_leading_colon_is_refused():
+    with pytest.raises(ValidationError):
+        parse_scenario("frame: a b\nsource ::x:\n  a = 1\nsource m2:\n  a = 1\n")
+
+
 def test_json_document_equivalent():
     doc = {
         "frame": ["th1", "th2", "th3"],
