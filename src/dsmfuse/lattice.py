@@ -20,8 +20,8 @@ model reduction strips dead parts from every fused key.
 expressions renders CHUNK bitsets at a time by byte column: packed in an
 array('Q'), byte k of every bitset is the stride raw[k::8], so each table
 step (minimal parts, rank, joined terms) is one map per column, folded
-across columns. Below COLUMN_MIN bitsets a loop over the elements on the
-same tables beats that pass's fixed cost.
+across columns. Every batch takes this pass, a single bitset too: its fixed
+cost is some microseconds per call.
 
 A Model declares which parts are impossible (empty). Reducing an element
 under a model clears its dead parts; two elements are equal under the model
@@ -48,7 +48,6 @@ from .errors import (
 
 MAX_FRAME_SIZE = 6
 CHUNK = 4096  # bitsets per column pass: bounds what a streaming listing holds at once
-COLUMN_MIN = 12  # below this many bitsets the per-element loop beats the column pass's fixed cost
 
 
 @cache
@@ -137,25 +136,13 @@ def expressions(labels, style, bitsets):
     """Yield each bitset's canonical expression over the frame with these
     labels, style "unicode" or "ascii": the union of the intersections its
     minimal parts name, in (size, mask) rank order. Reads CHUNK bitsets at a
-    time; see the module docstring for the column pass and COLUMN_MIN."""
+    time and renders each chunk by byte column; see the module docstring."""
     union, singles, keep, ranked, joined = _terms(tuple(labels), style == "unicode")
-    width, bitsets, size = len(keep), iter(bitsets), CHUNK
-    while size == CHUNK:  # a short chunk is the last
-        chunk = list(islice(bitsets, CHUNK))
-        size = len(chunk)
-        if size >= COLUMN_MIN:
-            chunk = list(_column_fold(and_, keep, chunk, chunk))  # _minimal
-            rows = _column_fold(add, joined, _column_fold(or_, ranked, chunk))
-            yield from map(singles.get, chunk, map(getitem, rows, repeat(slice(len(union), None))))
-            continue
-        for bits in chunk:
-            bits = reduce(and_, map(getitem, keep, bits.to_bytes(width, "little")), bits)  # _minimal
-            if bits & (bits - 1) == 0:
-                yield singles[bits]
-                continue
-            # each part has its own rank, so the bytes' rank bits are disjoint and add up
-            bits = sum(map(getitem, ranked, bits.to_bytes(width, "little")))
-            yield "".join(map(getitem, joined, bits.to_bytes(width, "little")))[len(union):]
+    bitsets = iter(bitsets)
+    while chunk := list(islice(bitsets, CHUNK)):
+        chunk = list(_column_fold(and_, keep, chunk, chunk))  # _minimal
+        rows = _column_fold(add, joined, _column_fold(or_, ranked, chunk))
+        yield from map(singles.get, chunk, map(getitem, rows, repeat(slice(len(union), None))))
 
 
 def _overlaps(n):

@@ -57,6 +57,8 @@ _JOINS = ("|", "∪")
 _NUMBER_RE = re.compile(_NUM)
 # a keyword followed by an operator or "=" starts a focal line, not a directive
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b(?!\s*[=&|∩∪])\s*:?")
+# a frame label holding one of these would not read back as written
+_BAD_LABEL_RE = re.compile(r"[\s,#]")
 
 # deepest parenthesis nesting parse_element accepts: it recurses per level
 MAX_NESTING = 100
@@ -231,8 +233,9 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
     except ValueError as exc:
         raise ValidationError([str(exc)]) from None
     # emit_scenario writes labels and names verbatim; refuse what would read back changed
-    for label in filter(re.compile(r"[\s,#]").search, frame.labels):
-        raise ValidationError([f"hypothesis label {label!r} holds whitespace, ',' or '#'"])
+    bad = next(filter(_BAD_LABEL_RE.search, frame.labels), None)
+    if bad is not None:
+        raise ValidationError([f"hypothesis label {bad!r} holds whitespace, ',' or '#'"])
 
     model_kind = model_kind or "free"
     if model_kind not in ("free", "shafer", "hybrid"):

@@ -20,7 +20,6 @@ from dsmfuse.errors import (
 )
 from dsmfuse.lattice import (
     CHUNK,
-    COLUMN_MIN,
     MAX_FRAME_SIZE,
     Frame,
     LatticeElement,
@@ -611,15 +610,14 @@ def test_expressions_match_reference_on_five_hypothesis_models():
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_expressions_match_reference_on_any_bitsets(data):
-    # any family of parts, so the partial last byte at n=6 is covered too; batch
-    # sizes on both sides of COLUMN_MIN, and a few past one CHUNK whose last
-    # chunk is itself on either side, by repeating a drawn batch
+    # any family of parts, so the partial last byte at n=6 is covered too; a few
+    # batches repeat a drawn one to just below, at and just past one CHUNK
     n = data.draw(st.integers(0, 6))
-    size = data.draw(st.integers(0, 3 * COLUMN_MIN))
+    size = data.draw(st.integers(0, 40))
     bitsets = data.draw(st.lists(st.integers(0, (1 << ((1 << n) - 1)) - 1),
                                  min_size=size, max_size=size))
     if bitsets and data.draw(st.integers(0, 15)) == 15:
-        size = CHUNK + data.draw(st.sampled_from([1, COLUMN_MIN - 1, COLUMN_MIN]))
+        size = CHUNK + data.draw(st.sampled_from([-1, 0, 1]))
         bitsets = list(itertools.islice(itertools.cycle(bitsets), size))
     assert_expressions_match_reference(frame_of(n), bitsets)
 
