@@ -19,6 +19,14 @@ when its start key is below its end key, sorted pieces touch when one's end
 key is not below the next one's start key, a union keeps the max end and an
 intersection the max start and min end. Closedness is read from the keys and
 values from plain max and min, which keeps signed zeros where they were.
+
+The pieces that +, -, * and the merge compute are not validated again: the
+piece rules are monotone in each endpoint, so pieces in order give a piece
+in order, and a piece that collapses to one value still becomes a closed
+point. A +, - or * of two one-piece sets (every point-with-point step of
+the imprecise rules) also skips the merge and its sort, as does
+`SubunitarySet.point`: one piece is already sorted and merged. Operations
+on sets of several pieces go through the merge.
 """
 
 import re
@@ -73,7 +81,8 @@ def _merge(pieces):
     for p in pieces:
         if out and (out[-1].upper, out[-1].upper_closed) >= (p.lower, not p.lower_closed):
             lo, up, loc, upc = out[-1]
-            out[-1] = Piece(lo, max(up, p.upper), loc, max((up, upc), (p.upper, p.upper_closed))[1])
+            upc = max((up, upc), (p.upper, p.upper_closed))[1]
+            out[-1] = _image(lo, max(up, p.upper), loc, upc)
         else:
             out.append(p)
     return out
@@ -95,7 +104,8 @@ class SubunitarySet:
 
     @classmethod
     def point(cls, x):
-        return cls([Piece(x, x)])
+        x = float(x)
+        return _single(cls, _image(x, x, True, True))
 
     @classmethod
     def interval(cls, lower, upper, lower_closed=True, upper_closed=True):
@@ -125,7 +135,10 @@ class SubunitarySet:
         return self.inf >= -tol and self.sup <= 1 + tol
 
     def _binary(self, other, op):
-        return SubunitarySet([op(a, b) for a in self.pieces for b in other.pieces])
+        a, b = self.pieces, other.pieces
+        if len(a) == 1 and len(b) == 1:
+            return _single(SubunitarySet, op(a[0], b[0]))
+        return SubunitarySet([op(p, q) for p in a for q in b])
 
     def __add__(self, other):
         return self._binary(other, _piece_add)
@@ -175,8 +188,27 @@ class SubunitarySet:
         return format_set(self)
 
 
+_set_pieces = SubunitarySet.pieces.__set__
+
+
+def _single(cls, piece):
+    """The set of one piece, without the merge."""
+    s = object.__new__(cls)
+    _set_pieces(s, (piece,))
+    return s
+
+
+def _image(lower, upper, lower_closed, upper_closed):
+    """A piece from float endpoints in order and bool flags, as the merge
+    and the piece rules compute them from pieces: no casts and no order
+    check. A collapsed piece is a closed point, as in Piece."""
+    if lower == upper:
+        lower_closed = upper_closed = True
+    return tuple.__new__(Piece, (lower, upper, lower_closed, upper_closed))
+
+
 def _piece_add(a, b):
-    return Piece(
+    return _image(
         a.lower + b.lower,
         a.upper + b.upper,
         a.lower_closed and b.lower_closed,
@@ -185,7 +217,7 @@ def _piece_add(a, b):
 
 
 def _piece_sub(a, b):
-    return Piece(
+    return _image(
         a.lower - b.upper,
         a.upper - b.lower,
         a.lower_closed and b.upper_closed,
@@ -200,7 +232,7 @@ def _piece_mul(a, b):
     if lo == 0.0 and not loc:
         # Zero is attained as soon as either factor attains it.
         loc = (a.lower == 0.0 and a.lower_closed) or (b.lower == 0.0 and b.lower_closed)
-    return Piece(lo, up, loc, a.upper_closed and b.upper_closed)
+    return _image(lo, up, loc, a.upper_closed and b.upper_closed)
 
 
 def sum_sets(sets):
@@ -397,7 +429,9 @@ class ImpreciseMass(_MassBase):
             if not isinstance(s, SubunitarySet):
                 problems.append(f"value on {el.expr()} is not a set")
                 continue
-            if not s.within_unit(tol):
+            # No tolerance below 0: the rules multiply the sets, and the
+            # product is defined for nonnegative sets only.
+            if s.inf < 0 or not s.within_unit(tol):
                 problems.append(f"set on {el.expr()} leaves [0,1]: {format_set(s)}")
             if el.bits == 0 and not self.allows_empty_focal and not s.contains(0.0, tol):
                 problems.append(f"empty element carries nonzero set {format_set(s)}")

@@ -6,6 +6,12 @@ clamp their outputs into [0, 1]. Fusion, in contrast, needs point-valued
 components, leaves accumulated sums unclamped (a component may well exceed
 1 before normalization), and normalizes each output triple by the sum of
 its components.
+
+Triple fusion walks plain floats: each focal triple is read as a (t, i, f)
+float tuple once per source, the kernel maps over two such tuples, and the
+output components are point sets built directly (see mass). Every float
+operation and its order is that of applying the kernel to the triples'
+points, so the output bytes do not change.
 """
 
 from dataclasses import dataclass
@@ -106,20 +112,16 @@ def ns_difference(a, b):
 
 # --- N-norms / N-conorms (point-valued, for fusion) ----------------------------
 
-def _apply_kernel(kernel, a, b):
-    at, ai, af = a.as_points()
-    bt, bi, bf = b.as_points()
-    return (kernel(at, bt), kernel(ai, bi), kernel(af, bf))
-
-
 def nnorm(kind, a, b):
     """Conjunctive combination of two point triples, componentwise."""
-    return NeutrosophicTriple.of(*_apply_kernel(_kernel(TNORMS, kind, "N-norm"), a, b))
+    kernel = _kernel(TNORMS, kind, "N-norm")
+    return NeutrosophicTriple.of(*map(kernel, a.as_points(), b.as_points()))
 
 
 def nconorm(kind, a, b):
     """Disjunctive combination of two point triples, componentwise."""
-    return NeutrosophicTriple.of(*_apply_kernel(_kernel(TCONORMS, kind, "N-conorm"), a, b))
+    kernel = _kernel(TCONORMS, kind, "N-conorm")
+    return NeutrosophicTriple.of(*map(kernel, a.as_points(), b.as_points()))
 
 
 def normalize_triple(trip):
@@ -149,10 +151,11 @@ class TripleMass(_MassBase):
             if not trip.is_point:
                 problems.append(f"fusion needs point components on {el.expr()}")
                 continue
-            for name, comp in zip("TIF", trip.as_points()):
+            points = trip.as_points()
+            for name, comp in zip("TIF", points):
                 if not -tol <= comp <= 1 + tol:
                     problems.append(f"{name} component {comp} on {el.expr()} outside [0,1]")
-            if el.bits == 0 and any(c != 0.0 for c in trip.as_points()):
+            if el.bits == 0 and any(c != 0.0 for c in points):
                 problems.append(f"triple mass on the empty element {el.expr()}")
         return problems
 
@@ -174,15 +177,30 @@ class _PointTriple(tuple):
 _ZERO = _PointTriple((0.0, 0.0, 0.0))
 
 
+class _Points:
+    """A triple source as the walk reads it: its frame, and its focal
+    elements with their triples as (t, i, f) float tuples, all of them
+    kept (a tuple is never equal to 0.0)."""
+
+    __slots__ = ("frame", "_items")
+
+    def __init__(self, m):
+        self.frame = m.frame
+        self._items = [(el, trip.as_points()) for el, trip in m.items()]
+
+    def items(self):
+        return self._items
+
+
 def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     """Walk the focal pairs with the kernel applied componentwise, drop
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
     # Exactly two sources, so the kernel always meets two source triples.
-    acc, conflict, _ = _walk(
-        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO
-    )
+    acc, conflict, _ = _walk([_Points(m) for m in sources], plan(model),
+                             lambda a, b: _PointTriple(map(kernel, a, b)), _ZERO)
+    point = SubunitarySet.point
     out = {}
     for el, (t, i, f) in acc.items():
         s = t + i + f
@@ -190,7 +208,7 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
             continue
         if normalize:
             t, i, f = t / s, i / s, f / s
-        out[el] = NeutrosophicTriple.of(t, i, f)
+        out[el] = NeutrosophicTriple(point(t), point(i), point(f))
     return FusionReport(name, model, TripleMass(model.frame, out), conflict[0])
 
 

@@ -370,6 +370,59 @@ def test_set_product_matches_the_reference(left, right):
     assert rows(got.clamp01().pieces) == rows(ref_clamp01(want))
 
 
+# --- one-piece sets built directly ---------------------------------------------------
+# A +, - or * of two one-piece sets, and SubunitarySet.point, build their set
+# without the merge or Piece's checks. The generic constructor, given the
+# piece the reference rule computes, must give the same set.
+
+def generic(p):
+    return SubunitarySet([Piece(p.lower, p.upper, p.lower_closed, p.upper_closed)])
+
+
+def assert_same_set(got, want):
+    assert type(got) is SubunitarySet and all(type(p) is Piece for p in got.pieces)
+    assert rows(got.pieces) == rows(want.pieces)
+    assert [tuple(map(type, p)) for p in got.pieces] == [(float, float, bool, bool)]
+    assert got == want and hash(got) == hash(want)
+    with pytest.raises(AttributeError):
+        got.pieces = ()
+    with pytest.raises(AttributeError):
+        got.other = 1
+
+
+def single_piece(endpoint):
+    return piece_specs(endpoint).map(lambda specs: specs[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_piece(any_endpoint), single_piece(any_endpoint), st.sampled_from(ENDPOINTS))
+@example((0.0, 1e-300, True, False), (0.0, 1e-300, True, False), -0.0)
+@example((-0.0, 0.5, True, True), (-0.0, 0.5, False, True), 0.0)
+def test_one_piece_operations_match_the_generic_constructor(left, right, x):
+    a, b = SubunitarySet([Piece(*left)]), SubunitarySet([Piece(*right)])
+    ref_a, ref_b = RefPiece(*left), RefPiece(*right)
+    assert_same_set(a + b, generic(ref_piece_add(ref_a, ref_b)))
+    assert_same_set(a - b, generic(ref_piece_sub(ref_a, ref_b)))
+    if a.inf >= 0 and b.inf >= 0:
+        assert_same_set(a * b, generic(ref_piece_mul(ref_a, ref_b)))
+    assert_same_set(SubunitarySet.point(x), SubunitarySet([Piece(x, x)]))
+
+
+def test_direct_builds_collapse_to_points_and_keep_zero_signs():
+    tiny = interval(0, 1e-300, True, False)
+    product = tiny * tiny
+    assert product.pieces == ((0.0, 0.0, True, True),) and repr(product) == "{0.0}"
+    assert product.is_point
+    signed = interval(-0.0, 0.5)
+    assert repr(SubunitarySet.point(-0.0)) == "{-0.0}"
+    assert repr(SubunitarySet.point(0)) == "{0.0}"
+    assert repr(signed + signed) == "[-0.0,1.0]"
+    assert repr(signed * interval(0.0, 0.5)) == "[-0.0,0.25]"
+    assert repr(SubunitarySet.point(-0.0) + SubunitarySet.point(0.0)) == "{0.0}"
+    assert repr(SubunitarySet.point(-0.0) - SubunitarySet.point(0.0)) == "{-0.0}"
+    assert repr(SubunitarySet.point(0.0) - SubunitarySet.point(-0.0)) == "{0.0}"
+
+
 def test_piece_is_a_validated_four_tuple():
     p = Piece(0, 0.5, False)
     lower, upper, lower_closed, upper_closed = p
@@ -517,3 +570,15 @@ def test_imprecise_validation():
     assert out_of_unit.validate()
     ok = ImpreciseMass(F2, {a: parse_set("[0.5,0.6]"), b: parse_set("[0.4,0.5]")})
     assert ok.validate() == []
+
+
+def test_imprecise_validation_refuses_a_negative_lower_end():
+    # within_unit forgives 1e-9 below 0, but the set product refuses any
+    # negative factor, so validation does not forgive it
+    a, b = F2.atom(1), F2.atom(2)
+    below = ImpreciseMass(F2, {a: parse_set("[-1e-10,0.5]"), b: parse_set("[0.5,1]")})
+    assert below.validate() == ["set on th1 leaves [0,1]: [-1e-10,0.5]"]
+    with pytest.raises(ValidationError):
+        below.check()
+    signed_zero = ImpreciseMass(F2, {a: parse_set("[-0.0,0.5]"), b: parse_set("[0.5,1]")})
+    assert signed_zero.validate() == []

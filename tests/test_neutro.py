@@ -1,13 +1,19 @@
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dsmfuse import neutro
 from dsmfuse.errors import FewerThanTwoSources, ValidationError, ZeroSum
-from dsmfuse.lattice import Frame, Model, exclusivity
+from dsmfuse.lattice import Frame, Model, enumerate_hyper_power_set, exclusivity
 from dsmfuse.mass import PreciseMass, SubunitarySet, parse_set
 from dsmfuse.neutro import (
+    _ZERO,
     NeutrosophicTriple,
     TripleMass,
+    _PointTriple,
     nconorm,
     nconorm_fusion,
     nl_conjunction,
@@ -21,7 +27,16 @@ from dsmfuse.neutro import (
     ns_intersection,
     ns_union,
 )
-from dsmfuse.rules import TCONORMS, TNORMS, dsm_classic
+from dsmfuse.rules import (
+    S3_COMPONENTS,
+    S3_UNION,
+    TCONORMS,
+    TNORMS,
+    FusionReport,
+    _prepare,
+    _walk,
+    dsm_classic,
+)
 
 F3 = Frame(("th1", "th2", "th3"))
 TH1, TH2, TH3 = F3.atom(1), F3.atom(2), F3.atom(3)
@@ -220,3 +235,96 @@ def test_triple_fusion_counts_sources_like_every_rule(fuse):
         fuse("algebraic", [m1])
     with pytest.raises(ValidationError, match=f"{fuse.__name__} combines exactly 2 sources, got 3"):
         fuse("algebraic", [m1, m2, m1])
+
+
+# --- triple fusion oracle --------------------------------------------------------------
+# The fusion as it was before the walk read float triples, and its kernel
+# helper, kept word for word: the kernel meets the source NeutrosophicTriples
+# through their points, and the outputs come from NeutrosophicTriple.of. The
+# package must give the same masses and conflict, floats compared by their hex
+# form.
+
+def _apply_kernel(kernel, a, b):
+    at, ai, af = a.as_points()
+    bt, bi, bf = b.as_points()
+    return (kernel(at, bt), kernel(ai, bi), kernel(af, bf))
+
+
+def ref_fuse_triples(rule, name, kernel, sources, model, plan, normalize):
+    """Walk the focal pairs with the kernel applied componentwise, drop
+    all-zero sums and normalize the rest unless told not to. The reported
+    conflict is the truth component of the mass counted as conflict."""
+    model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
+    # Exactly two sources, so the kernel always meets two source triples.
+    acc, conflict, _ = _walk(
+        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO
+    )
+    out = {}
+    for el, (t, i, f) in acc.items():
+        s = t + i + f
+        if s == 0.0:
+            continue
+        if normalize:
+            t, i, f = t / s, i / s, f / s
+        out[el] = NeutrosophicTriple.of(t, i, f)
+    return FusionReport(name, model, TripleMass(model.frame, out), conflict[0])
+
+
+@lru_cache(maxsize=None)
+def nonempty_elements(n):
+    return tuple(enumerate_hyper_power_set(Frame(tuple(f"h{i}" for i in range(1, n + 1))))[1:])
+
+
+COMPONENT = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.floats(0, 1))
+FOCAL_TRIPLE = st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(COMPONENT, COMPONENT, COMPONENT))
+
+
+@st.composite
+def triple_fusions(draw):
+    """(model, two triple sources) on a free, shafer or hybrid model of 2-4
+    hypotheses; a focal triple may be all zero."""
+    els = nonempty_elements(draw(st.integers(2, 4)))
+    frame = els[0].frame
+    kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
+    if kind == "free":
+        model = Model.free(frame)
+    else:
+        dead = draw(st.lists(st.sampled_from(els), min_size=int(kind == "hybrid"), max_size=2))
+        model = Model(frame, kind, dead)
+    sources = []
+    for _ in range(2):
+        focal = draw(st.lists(st.sampled_from(els), min_size=1, max_size=5, unique=True))
+        sources.append(TripleMass(frame, {
+            e: NeutrosophicTriple.of(*draw(FOCAL_TRIPLE)) for e in focal}))
+    return model, sources
+
+
+def triple_fusion_calls(model, sources):
+    for normalize in (True, False):
+        for kind in TNORMS:
+            for s3 in (S3_COMPONENTS, S3_UNION):
+                yield lambda: nnorm_fusion(kind, sources, model, s3, normalize)
+        for kind in TCONORMS:
+            yield lambda: nconorm_fusion(kind, sources, model, normalize)
+
+
+def hex_outcome(call):
+    try:
+        r = call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    masses = [(el.bits, [[(p.lower.hex(), p.upper.hex(), p.lower_closed, p.upper_closed)
+                          for p in comp.pieces] for comp in trip.components()])
+              for el, trip in r.mass.items()]
+    return r.rule, r.model, masses, r.conflict.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(triple_fusions())
+def test_triple_fusion_matches_the_point_triple_reference(case):
+    model, sources = case
+    got = [hex_outcome(call) for call in triple_fusion_calls(model, sources)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neutro, "_fuse_triples", ref_fuse_triples)
+        want = [hex_outcome(call) for call in triple_fusion_calls(model, sources)]
+    assert got == want

@@ -978,6 +978,30 @@ def test_fusion_errors_exit_3_with_one_line(text, message, tmp_path, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+NEGATIVE_LOWER_END = {"frame": ["a", "b"],
+                      "sources": [{"mass": {"a": "[-1e-10,0.5]", "b": "[0.5,1]"}},
+                                  {"mass": {"a": "[0.4,0.5]", "b": "[0.5,0.6]"}}]}
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("rule", ["dsm_classic", "dsm_hybrid"])
+def test_a_set_reaching_below_zero_is_refused(rule, form, tmp_path, capsys):
+    """A lower end in [-1e-9, 0) is inside the [0,1] tolerance, but the
+    set product takes nonnegative sets only: the source is refused before
+    any rule multiplies it."""
+    if form == "json":
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(NEGATIVE_LOWER_END))
+    else:
+        path = tmp_path / "negative.dsm"
+        path.write_text("frame: a b\nsource m1:\n  a = [-1e-10,0.5]\n  b = [0.5,1]\n"
+                        "source m2:\n  a = [0.4,0.5]\n  b = [0.5,0.6]\n")
+    assert cli.main(["fuse", "--scenario", str(path), "--rule", rule]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source 'm1': set on a leaves [0,1]: [-1e-10,0.5]\n"
+
+
 def test_json_task_without_a_rule_uses_the_default_rule(tmp_path, capsys):
     sources = [{"mass": {"a": [0.6, 0.1, 0.3], "b": [0.2, 0.2, 0.6]}},
                {"mass": {"a": [0.5, 0.3, 0.2], "a|b": [0.1, 0.1, 0.8]}}]
