@@ -174,9 +174,10 @@ def _json_text(value, precision, pad):
         text = float.__repr__(value if precision is None else round(value, precision))
         return _NONFINITE.get(text, text)
     if isinstance(value, NeutrosophicTriple):
+        # a fused triple's components are points: read each off its one piece
         inner = pad + "  "
-        return _json_wrap([inner + _json_text(v, precision, inner) for v in value.as_points()],
-                          pad, "[]")
+        return _json_wrap([inner + _json_text(c.pieces[0].lower, precision, inner)
+                           for c in value.components()], pad, "[]")
     return _json_str(format_set(value, precision))
 
 

@@ -64,6 +64,12 @@ class Piece(namedtuple("Piece", "lower upper lower_closed upper_closed")):
             lower_closed = upper_closed = True
         return tuple.__new__(cls, (lower, upper, bool(lower_closed), bool(upper_closed)))
 
+    @classmethod
+    def _make(cls, iterable):
+        """The named tuple's builder, validated like Piece(...); _replace
+        builds through it too."""
+        return cls(*iterable)
+
     @property
     def is_point(self):
         return self.lower == self.upper
@@ -392,6 +398,8 @@ class PreciseMass(_MassBase):
         """List of problems; empty when the mass is a well-formed gbba."""
         problems = []
         for el, v in self._masses.items():
+            if v != v:
+                problems.append(f"mass {v} on {el.expr()} is not a number")
             if v < -tol:
                 problems.append(f"negative mass {v} on {el.expr()}")
             if el.bits == 0 and v > tol and not self.allows_empty_focal:

@@ -7,20 +7,24 @@ components, leaves accumulated sums unclamped (a component may well exceed
 1 before normalization), and normalizes each output triple by the sum of
 its components.
 
-Triple fusion walks plain floats: each focal triple is read as a (t, i, f)
-float tuple once per source, the kernel maps over two such tuples, and the
-output components are point sets built directly (see mass). Every float
-operation and its order is that of applying the kernel to the triples'
-points, so the output bytes do not change.
+Triple fusion reads each focal triple as a (t, i, f) float tuple once per
+source, and the output components are point sets built directly (see
+mass). The algebraic N-norm is the product componentwise, so each
+component takes the rules' exact fold: every sum is exact and rounded
+once, and the raw truth channel is the precise conjunctive rule exactly.
+The other kernels walk the pairs with the kernel mapped over two such
+tuples.
 """
 
 from dataclasses import dataclass
+from functools import cache
+from math import lcm
 
 from .errors import ValidationError, ZeroSum
 from .mass import SubunitarySet, _MassBase
 from .rules import (
-    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join_plan, _kernel, _prepare, _transfer_plan,
-    _walk,
+    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _fold, _join_plan, _kernel, _prepare,
+    _transfer_plan, _walk,
 )
 
 _ONE = SubunitarySet.point(1.0)
@@ -180,36 +184,67 @@ _ZERO = _PointTriple((0.0, 0.0, 0.0))
 class _Points:
     """A triple source as the walk reads it: its frame, and its focal
     elements with their triples as (t, i, f) float tuples, all of them
-    kept (a tuple is never equal to 0.0)."""
+    kept (a tuple is never equal to 0.0); component(k) is the source as
+    the fold reads component k."""
 
     __slots__ = ("frame", "_items")
 
-    def __init__(self, m):
-        self.frame = m.frame
-        self._items = [(el, trip.as_points()) for el, trip in m.items()]
+    def __init__(self, frame, items):
+        self.frame = frame
+        self._items = items
+
+    @classmethod
+    def of(cls, m):
+        return cls(m.frame, [(el, trip.as_points()) for el, trip in m.items()])
+
+    def component(self, k):
+        return _Points(self.frame, [(el, v[k]) for el, v in self._items])
 
     def items(self):
         return self._items
 
 
+def _exact_sums(sources, plan):
+    """The algebraic fusion's (t, i, f) sums per element as exact ints over
+    one denominator, that denominator, and the truth conflict rounded once:
+    each component is folded on its own, as the product acts componentwise,
+    and the three folds share each element's facts and each state's
+    landing."""
+    facts, step, land = plan
+    plan = cache(facts), step, cache(land)
+    points = [_Points.of(m) for m in sources]
+    folds = [_fold([p.component(k) for p in points], plan) for k in range(3)]
+    den = lcm(*(d for *_, d in folds))
+    sums = {}
+    for k, (acc, _, _, d) in enumerate(folds):
+        for el, n in acc.items():
+            sums.setdefault(el, [0, 0, 0])[k] = n * (den // d)
+    _, conflict, _, d = folds[0]
+    return sums, den, conflict / d
+
+
 def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
-    """Walk the focal pairs with the kernel applied componentwise, drop
+    """Sum the focal pairs with the kernel applied componentwise, drop
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
-    # Exactly two sources, so the kernel always meets two source triples.
-    acc, conflict, _ = _walk([_Points(m) for m in sources], plan(model),
-                             lambda a, b: _PointTriple(map(kernel, a, b)), _ZERO)
+    if name == "nnorm[algebraic]":
+        acc, den, conflict = _exact_sums(sources, plan(model))
+    else:
+        # Exactly two sources, so the kernel always meets two source triples.
+        acc, conflict, _ = _walk([_Points.of(m) for m in sources], plan(model),
+                                 lambda a, b: _PointTriple(map(kernel, a, b)), _ZERO)
+        conflict, den = conflict[0], 1.0
     point = SubunitarySet.point
     out = {}
     for el, (t, i, f) in acc.items():
         s = t + i + f
-        if s == 0.0:
+        if s == 0:
             continue
-        if normalize:
-            t, i, f = t / s, i / s, f / s
-        out[el] = NeutrosophicTriple(point(t), point(i), point(f))
-    return FusionReport(name, model, TripleMass(model.frame, out), conflict[0])
+        if not normalize:
+            s = den  # the raw sums, over the fold's den or the walk's 1.0
+        out[el] = NeutrosophicTriple(point(t / s), point(i / s), point(f / s))
+    return FusionReport(name, model, TripleMass(model.frame, out), conflict)
 
 
 def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=True):

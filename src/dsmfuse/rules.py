@@ -2,13 +2,12 @@
 
 Every rule here, and the triple fusions in neutro, sums the values of the
 focal tuples (one focal item per source, in (cardinality, bit pattern)
-order), each folded left with a kernel (the product, a T-norm or a
-T-conorm), on landing sites. One walk, `_walk`, does it for all of them,
-driven by a plan `(facts, step, land)`: `facts(el)` is what landing needs
-of one focal element; `step(state, fact)` folds it into a prefix's state
-(a one-item prefix's state is its fact); `land(state)` maps a tuple's
-final state to `(key, weight, dead)`. The value (times `weight` unless
-None) is added on the int bits `key`, or handed back as dropped when
+order), each the product of its items or a T-norm or T-conorm of them, on
+landing sites. A plan `(facts, step, land)` says where: `facts(el)` is what
+landing needs of one focal element; `step(state, fact)` folds it into a
+prefix's state (a one-item prefix's state is its fact); `land(state)` maps
+a tuple's final state to `(key, weight, dead)`. The value (times `weight`
+unless None) is added on the int bits `key`, or handed back as dropped when
 `key` is None, and counts as conflict when `dead`. The plans:
 
 - transfer: a live intersection keeps its mass; a forbidden one goes to
@@ -23,19 +22,39 @@ None) is added on the int bits `key`, or handed back as dropped when
   union of a forbidden intersection and drops the mass whose union is
   forbidden too; the degree-weighted rules weight each pair.
 
-The walk folds source by source on an explicit stack of prefixes, depth
-first: each prefix's state and kernel value are computed once, the stack
-holds at most the sources' focal counts summed, and each distinct final
-state is landed once. Every tuple still adds its own left-folded value, in
-lexicographic tuple order: the floats of a tuple-by-tuple walk. Values are
-not summed per state before the last kernel (a*b + a*c as a*(b + c)): that
-moves floats in the last place, and set arithmetic is only
-subdistributive, so one-point sets would no longer reproduce the precise
-rules bit for bit. A value only needs + and the kernel: floats, subunitary
-sets and neutro's point triples all qualify.
+Two loops run the plans. `_fold` runs every product rule: dsm_classic,
+dsm_hybrid, dempster, smets, yager, disjunctive, dubois_prade, the three
+degree-weighted rules, tnorm[algebraic] and neutro's nnorm[algebraic]. Each
+source's floats are scaled exactly onto ints over one power of two, so
+every product and sum is an exact int; the fold combines one source at a
+time over the distinct states and lands each final state once. Each fused
+mass, conflict and dropped mass is rounded once, by int true division,
+which rounds correctly. So the results are the exact sums rounded once,
+the same whatever the order of the sources and of the focal items, and the
+cost grows with the distinct states, not with the tuples. Degree weights
+are exact ratios of cardinalities, and normalizations divide exact sums.
+Dempster divides each alive sum by the exact alive total, not by 1 - k12:
+the two differ when the inputs do not sum to exactly 1 in binary, and only
+the first gives a lone surviving element exactly 1. Dempster refuses
+(TotalConflict) when the alive total is at most 1e-12.
+
+`_walk` runs what does not distribute over +: the min and bounded T-norms,
+every T-conorm, and set-valued imprecise masses, whose arithmetic is only
+subdistributive ({1}, {1}, {0,1} give (A+B)*C = {0,2} but A*C+B*C =
+{0,1,2}). It visits every tuple, depth first on an explicit stack of
+prefixes: each prefix's state and kernel value are computed once, the stack
+holds at most the sources' focal counts summed, each distinct final state
+is landed once, and every tuple adds its own left-folded value in
+lexicographic tuple order. A value only needs + and the kernel: floats,
+subunitary sets and neutro's point triples all qualify. Imprecise sources
+whose every value is a point take the fold and come back as point sets, so
+they reproduce the precise rules bit for bit.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from operator import and_, attrgetter, mul, or_
 
 from .errors import (
@@ -47,7 +66,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import LatticeElement, Model, component_union, dsm_cardinality, upward_closure
-from .mass import ImpreciseMass, PreciseMass, SubunitarySet, is_admissible
+from .mass import ImpreciseMass, PreciseMass, SubunitarySet, is_admissible, lift
 
 _NEAR_ZERO = 1e-12
 
@@ -146,6 +165,55 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
     return {LatticeElement(sources[0].frame, k): v for k, v in acc.items()}, conflict, lost
 
 
+def _fold(sources, plan):
+    """Sum every focal tuple's product on its landing site, exactly.
+
+    Each source's nonzero float values become ints over one power of two,
+    the floats exactly: as_integer_ratio gives each value's own power of
+    two, and the smaller ones are shifted up to the largest (a fixed 2**S
+    scale would overflow near subnormals). The sources are folded in one at
+    a time over a dict of distinct states and their exact int sums, then
+    each final state is landed once; a weight from land is an int or a
+    Fraction. Returns (sums per element, conflict, mass dropped on key None,
+    den): ints, each standing for itself over den.
+    """
+    facts, step, land = plan
+    states, shift = None, 0
+    for m in sources:
+        ratios = [(facts(el), *v.as_integer_ratio()) for el, v in m.items() if v != 0.0]
+        top = max([d for _, _, d in ratios], default=1).bit_length()
+        shift += top - 1
+        items = [(fact, n << (top - d.bit_length())) for fact, n, d in ratios]
+        folded = defaultdict(int)
+        if states is None:
+            for fact, n in items:
+                folded[fact] += n
+        else:
+            for state, a in states.items():
+                for fact, b in items:
+                    folded[step(state, fact)] += a * b
+        states = folded
+    landed = [(land(state), x) for state, x in states.items()]
+    scale = lcm(*[w.denominator for (_, w, _), _ in landed if w is not None])
+    acc, conflict, lost = {}, 0, 0
+    for (key, weight, dead), x in landed:
+        x *= scale
+        value = x if weight is None else x * weight.numerator // weight.denominator
+        if dead:
+            conflict += x
+        if key is None:
+            lost += value
+        else:
+            acc[key] = acc.get(key, 0) + value
+    frame = sources[0].frame
+    return {LatticeElement(frame, k): v for k, v in acc.items()}, conflict, lost, scale << shift
+
+
+def _rounded(acc, den):
+    """Exact sums over den as floats, each rounded once."""
+    return {el: n / den for el, n in acc.items()}
+
+
 # --- plans -------------------------------------------------------------------------
 
 # The two-source rules land the pair of focal elements itself.
@@ -223,43 +291,56 @@ def _dsm_rule(rule, model, sources, s3_target):
         rule += "_imprecise"
     wanted = ImpreciseMass if imprecise else PreciseMass
     model, warnings = _prepare(sources, rule, model, wanted)
-    zero = SubunitarySet.point(0.0) if imprecise else 0.0
-    acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), zero=zero)
-    return FusionReport(rule, model, wanted(model.frame, acc), conflict, tuple(warnings))
+    plan = _transfer_plan(model, s3_target)
+    if imprecise and not all(s.is_point for m in sources for _, s in m.items()):
+        acc, conflict, _ = _walk(sources, plan, zero=SubunitarySet.point(0.0))
+        return FusionReport(rule, model, ImpreciseMass(model.frame, acc), conflict,
+                            tuple(warnings))
+    if imprecise:
+        # Every value is a point: fold the points and lift the result back.
+        sources = [PreciseMass(m.frame, {el: s.as_point() for el, s in m.items()})
+                   for m in sources]
+    acc, conflict, _, den = _fold(sources, plan)
+    mass, conflict = PreciseMass(model.frame, _rounded(acc, den)), conflict / den
+    if imprecise:
+        mass, conflict = lift(mass), SubunitarySet.point(conflict)
+    return FusionReport(rule, model, mass, conflict, tuple(warnings))
 
 
 def dempster(model, sources):
-    """Conjunctive consensus normalized by the non-conflicting mass."""
+    """Conjunctive consensus, each alive sum divided by the alive total."""
     model, warnings = _prepare(sources, "dempster", model)
-    alive, dead, _ = _walk(sources, _meet_plan(model))
-    if 1.0 - dead <= _NEAR_ZERO:
-        raise TotalConflict(f"sources are fully conflicting (k12={dead})")
-    scale = 1.0 - dead
-    acc = {el: v / scale for el, v in alive.items()}
-    return FusionReport("dempster", model, PreciseMass(model.frame, acc), dead, tuple(warnings))
+    alive, dead, _, den = _fold(sources, _meet_plan(model))
+    total = sum(alive.values())
+    if total / den <= _NEAR_ZERO:
+        raise TotalConflict(f"sources are fully conflicting (k12={dead / den})")
+    return FusionReport("dempster", model, PreciseMass(model.frame, _rounded(alive, total)),
+                        dead / den, tuple(warnings))
 
 
 def smets(model, sources):
     """Conjunctive consensus with the conflicting mass kept on the empty
     element (open-world reading)."""
     model, warnings = _prepare(sources, "smets", model)
-    alive, dead, _ = _walk(sources, _meet_plan(model))
+    alive, dead, _, den = _fold(sources, _meet_plan(model))
     empty = model.frame.empty()
-    if dead > 0.0:
-        alive[empty] = alive.get(empty, 0.0) + dead
-    return FusionReport("smets", model, PreciseMass(model.frame, alive, allows_empty_focal=True),
-                        dead, tuple(warnings))
+    if dead > 0:
+        alive[empty] = alive.get(empty, 0) + dead
+    return FusionReport("smets", model,
+                        PreciseMass(model.frame, _rounded(alive, den), allows_empty_focal=True),
+                        dead / den, tuple(warnings))
 
 
 def yager(model, sources):
     """Conjunctive consensus with the conflicting mass moved to total
     ignorance."""
     model, warnings = _prepare(sources, "yager", model)
-    alive, dead, _ = _walk(sources, _meet_plan(model))
-    if dead > 0.0:
+    alive, dead, _, den = _fold(sources, _meet_plan(model))
+    if dead > 0:
         it = model.reduce(model.frame.total_ignorance())
-        alive[it] = alive.get(it, 0.0) + dead
-    return FusionReport("yager", model, PreciseMass(model.frame, alive), dead, tuple(warnings))
+        alive[it] = alive.get(it, 0) + dead
+    return FusionReport("yager", model, PreciseMass(model.frame, _rounded(alive, den)),
+                        dead / den, tuple(warnings))
 
 
 def dubois_prade(model, sources):
@@ -275,42 +356,47 @@ def dubois_prade(model, sources):
             return key, None, False
         return (model.reduce(x | y).bits or None), None, True
 
-    acc, dead, lost = _walk(sources, (*_PAIR, land))
-    if lost > 0.0:
+    acc, dead, lost, den = _fold(sources, (*_PAIR, land))
+    if lost > 0:
+        lost /= den
         warnings.append(
             f"mass {lost:.6f} fell on forbidden unions; output is subnormal"
             f" (total {1.0 - lost:.6f})"
         )
-    return FusionReport("dubois_prade", model, PreciseMass(model.frame, acc), dead,
-                        tuple(warnings))
+    return FusionReport("dubois_prade", model, PreciseMass(model.frame, _rounded(acc, den)),
+                        dead / den, tuple(warnings))
 
 
 def disjunctive(sources, model=None):
     """Union consensus: each tuple's mass lands on the join of its focal
     elements."""
     model, warnings = _prepare(sources, "disjunctive", model)
-    acc, _, _ = _walk(sources, _join_plan(model))
-    return FusionReport("disjunctive", model, PreciseMass(model.frame, acc), 0.0,
+    acc, _, _, den = _fold(sources, _join_plan(model))
+    return FusionReport("disjunctive", model, PreciseMass(model.frame, _rounded(acc, den)), 0.0,
                         tuple(warnings))
 
 
 # --- similarity degrees --------------------------------------------------------
 
+def _intersection_degree(model, x, y):
+    cu = dsm_cardinality(model, x | y)
+    return Fraction(dsm_cardinality(model, x & y), cu) if cu else 1
+
+
+def _union_degree(model, x, y):
+    cu = dsm_cardinality(model, x | y)
+    return Fraction(cu - dsm_cardinality(model, x & y), cu) if cu else 0
+
+
 def degree_of_intersection(model, x, y):
     """Shared fraction of two elements: |x meet y| / |x join y| under the
     model's cardinality. Both elements forbidden counts as identical (1)."""
-    cu = dsm_cardinality(model, x | y)
-    if cu == 0:
-        return 1.0
-    return dsm_cardinality(model, x & y) / cu
+    return float(_intersection_degree(model, x, y))
 
 
 def degree_of_union(model, x, y):
     """Complementary fraction: (|x join y| - |x meet y|) / |x join y|."""
-    cu = dsm_cardinality(model, x | y)
-    if cu == 0:
-        return 0.0
-    return (cu - dsm_cardinality(model, x & y)) / cu
+    return float(_union_degree(model, x, y))
 
 
 def degree_of_inclusion(model, x, y):
@@ -326,9 +412,11 @@ def degree_of_inclusion(model, x, y):
 
 # --- degree-weighted (improved) rules ----------------------------------------
 
-def _normalize_acc(acc, rule):
+def _normalize_acc(acc, rule, den=1):
+    """The sums divided by their total: the fold's exact int sums over den
+    each rounded once, or the walk's float sums."""
     total = sum(acc.values())
-    if total <= _NEAR_ZERO:
+    if total / den <= _NEAR_ZERO:
         raise DegenerateNormalization(f"{rule}: every weighted product vanished")
     return {el: v / total for el, v in acc.items()}
 
@@ -345,11 +433,11 @@ def dsmc_improved(sources, model=None):
             # Weight 0 except for the all-forbidden corner; either way the
             # classic-with-degrees rule keeps no mass on forbidden elements.
             return None, None, True
-        return reduced, degree_of_intersection(model, x, y), False
+        return reduced, _intersection_degree(model, x, y), False
 
-    acc, conflict, _ = _walk(sources, (*_PAIR, land))
-    acc = _normalize_acc(acc, "dsmc_improved")
-    return FusionReport("dsmc_improved", model, PreciseMass(model.frame, acc), conflict,
+    acc, conflict, _, den = _fold(sources, (*_PAIR, land))
+    acc = _normalize_acc(acc, "dsmc_improved", den)
+    return FusionReport("dsmc_improved", model, PreciseMass(model.frame, acc), conflict / den,
                         tuple(warnings))
 
 
@@ -359,12 +447,12 @@ def disjunctive_improved(sources, model=None):
 
     def land(pair):
         x, y = pair
-        w = degree_of_union(model, x, y)
+        w = _union_degree(model, x, y)
         # pairs that do not differ under the model weigh 0 and add no element
         return (model.reduce(x | y).bits if w else None), w, False
 
-    acc, _, _ = _walk(sources, (*_PAIR, land))
-    acc = _normalize_acc(acc, "disjunctive_improved")
+    acc, _, _, den = _fold(sources, (*_PAIR, land))
+    acc = _normalize_acc(acc, "disjunctive_improved", den)
     return FusionReport("disjunctive_improved", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))
 
@@ -379,16 +467,16 @@ def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
         (x, fx), (y, fy) = pair
         key, _, dead = route(step(fx, fy))
         if not dead:
-            w = degree_of_intersection(model, x, y)
+            w = _intersection_degree(model, x, y)
         elif model.is_model_empty(x) and model.is_model_empty(y):
-            w = 1.0
+            w = 1
         else:
-            w = degree_of_union(model, x, y)
+            w = _union_degree(model, x, y)
         return key, w, dead
 
-    acc, conflict, _ = _walk(sources, (lambda el: (el, facts(el)), lambda a, b: (a, b), land))
-    acc = _normalize_acc(acc, "dsmh_improved")
-    return FusionReport("dsmh_improved", model, PreciseMass(model.frame, acc), conflict,
+    acc, conflict, _, den = _fold(sources, (lambda el: (el, facts(el)), lambda a, b: (a, b), land))
+    acc = _normalize_acc(acc, "dsmh_improved", den)
+    return FusionReport("dsmh_improved", model, PreciseMass(model.frame, acc), conflict / den,
                         tuple(warnings))
 
 
@@ -424,8 +512,12 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
     """
     kernel = _kernel(TNORMS, norm, "T-norm")
     model, warnings = _prepare(sources, "tnorm", model, exactly=2)
-    acc, conflict, _ = _walk(sources, _transfer_plan(model, s3_target), kernel)
-    if norm != "algebraic":
+    plan = _transfer_plan(model, s3_target)
+    if norm == "algebraic":
+        acc, conflict, _, den = _fold(sources, plan)
+        acc, conflict = _rounded(acc, den), conflict / den
+    else:
+        acc, conflict, _ = _walk(sources, plan, kernel)
         acc = _normalize_acc(acc, f"tnorm[{norm}]")
     return FusionReport(f"tnorm[{norm}]", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))

@@ -440,6 +440,24 @@ def test_piece_is_a_validated_four_tuple():
         p.lower = 0.1
 
 
+def test_piece_replace_is_validated():
+    p = Piece(0.5, 0.6)
+    with pytest.raises(ValueError, match="out of order"):
+        p._replace(lower=0.7)
+    assert p._replace(lower_closed=None).lower_closed is False
+    assert p._replace(upper=0.5) == (0.5, 0.5, True, True)
+    assert type(p._replace(upper=1).upper) is float
+
+
+def test_piece_make_is_validated():
+    with pytest.raises(ValueError, match="out of order"):
+        Piece._make([0.9, 0.1, True, True])
+    made = Piece._make([0, 1, 0, None])
+    assert made == (0.0, 1.0, False, False)
+    assert type(made.lower) is float and made.upper_closed is False
+    assert Piece._make((0.2, 0.2, False, False)) == (0.2, 0.2, True, True)
+
+
 # --- parse and format ---------------------------------------------------------------
 
 @pytest.mark.parametrize("text,inf,sup", [
@@ -493,6 +511,14 @@ def test_precise_validation_catches_problems():
     assert on_empty.validate()
     with pytest.raises(ValidationError):
         bad_total.check()
+
+
+def test_precise_validation_refuses_nan():
+    # NaN compares false with every bound, so it would slip past the
+    # negativity and total checks
+    a, b = F2.atom(1), F2.atom(2)
+    m = PreciseMass(F2, {a: float("nan"), b: 1.0})
+    assert m.validate() == ["mass nan on th1 is not a number"]
 
 
 def test_vacuous_and_normalize():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -239,10 +240,11 @@ def test_triple_fusion_counts_sources_like_every_rule(fuse):
 
 # --- triple fusion oracle --------------------------------------------------------------
 # The fusion as it was before the walk read float triples, and its kernel
-# helper, kept word for word: the kernel meets the source NeutrosophicTriples
-# through their points, and the outputs come from NeutrosophicTriple.of. The
-# package must give the same masses and conflict, floats compared by their hex
-# form.
+# helper: the kernel meets the source NeutrosophicTriples through their
+# points, and the outputs come from NeutrosophicTriple.of. The algebraic
+# N-norm's products and sums are exact Fractions, rounded once, as the
+# package promises; the other kernels keep their float walk. The package must
+# give the same masses and conflict, floats compared by their hex form.
 
 def _apply_kernel(kernel, a, b):
     at, ai, af = a.as_points()
@@ -255,9 +257,15 @@ def ref_fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
+    zero = _ZERO
+    if name == "nnorm[algebraic]":
+        zero = _PointTriple((Fraction(0),) * 3)
+
+        def kernel(x, y):
+            return Fraction(x) * Fraction(y)
     # Exactly two sources, so the kernel always meets two source triples.
     acc, conflict, _ = _walk(
-        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), _ZERO
+        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), zero
     )
     out = {}
     for el, (t, i, f) in acc.items():
@@ -267,7 +275,7 @@ def ref_fuse_triples(rule, name, kernel, sources, model, plan, normalize):
         if normalize:
             t, i, f = t / s, i / s, f / s
         out[el] = NeutrosophicTriple.of(t, i, f)
-    return FusionReport(name, model, TripleMass(model.frame, out), conflict[0])
+    return FusionReport(name, model, TripleMass(model.frame, out), float(conflict[0]))
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmfuse.errors import (
     DegenerateModel,
@@ -13,13 +15,15 @@ from dsmfuse.errors import (
     TotalConflict,
     ValidationError,
 )
-from dsmfuse.lattice import Frame, Model, exclusivity
+from dsmfuse.lattice import Frame, Model, enumerate_hyper_power_set, exclusivity
 from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, lift, parse_set
 from dsmfuse.neutro import (
     NeutrosophicTriple, TripleMass, nconorm, nconorm_fusion, nnorm, nnorm_fusion,
 )
 from dsmfuse.rules import (
     S3_COMPONENTS,
+    _fold,
+    _transfer_plan,
     S3_UNION,
     degree_of_inclusion,
     degree_of_intersection,
@@ -248,6 +252,24 @@ def test_dempster_total_conflict_raises():
     m2 = PreciseMass(f, {f.atom(2): 0.2, f.atom(4): 0.8})
     with pytest.raises(TotalConflict):
         dempster(Model.shafer(f), [m1, m2])
+
+
+def test_dempster_reports_the_exact_total_conflict():
+    # 0.2 + 0.8 and 0.3 + 0.7 sum to 1 within half an ulp, so the exact
+    # conflict rounds to 1.0; float sums of the products gave 0.9999999999999999
+    f = Frame(("th1", "th2", "th3", "th4"))
+    m1 = PreciseMass(f, {f.atom(1): 0.2, f.atom(2): 1 - 0.2})
+    m2 = PreciseMass(f, {f.atom(3): 0.3, f.atom(4): 1 - 0.3})
+    with pytest.raises(TotalConflict, match=r"\(k12=1\.0\)$"):
+        dempster(Model.shafer(f), [m1, m2])
+
+
+def test_dempster_gives_a_lone_survivor_exactly_one():
+    # k12 is 0.9999; dividing by 1 - k12 gave th3 1.0000000000001101
+    m1 = PreciseMass(F3, {TH1: 1 - 0.1, TH3: 0.1})
+    m2 = PreciseMass(F3, {TH2: 1 - 0.001, TH3: 0.001})
+    r = dempster(Model.shafer(F3), [m1, m2])
+    assert len(r.mass) == 1 and r.mass_of(TH3) == 1.0
 
 
 def test_smets_keeps_conflict_on_empty():
@@ -518,6 +540,83 @@ def test_normalizing_rules_refuse_when_every_weighted_product_vanishes():
     sure_a, sure_b = PreciseMass(f, {a: 1.0}), PreciseMass(f, {b: 1.0})
     with pytest.raises(DegenerateNormalization, match="dsmc_improved: every weighted"):
         dsmc_improved([sure_a, sure_b], model=Model.shafer(f))
+
+
+# --- order-free exact sums ----------------------------------------------------------------
+
+@st.composite
+def fold_cases(draw):
+    """(model, sources, the same sources shuffled): 2-4 precise sources on a
+    free, shafer or hybrid model of 2-3 hypotheses; the shuffle permutes the
+    sources and rebuilds each from its focal items in a drawn order."""
+    els = enumerate_hyper_power_set(Frame(("h1", "h2", "h3")[:draw(st.integers(2, 3))]))[1:]
+    frame = els[0].frame
+    kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
+    dead = draw(st.lists(st.sampled_from(els), min_size=int(kind == "hybrid"), max_size=2))
+    model = Model.free(frame) if kind == "free" else Model(frame, kind, dead)
+    sources = []
+    for _ in range(draw(st.integers(2, 4))):
+        focal = draw(st.lists(st.sampled_from(els), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 100), min_size=len(focal), max_size=len(focal)))
+        sources.append(PreciseMass(frame, {e: w / sum(weights) for e, w in zip(focal, weights)}))
+    shuffled = [PreciseMass(frame, dict(draw(st.permutations(m.items()))))
+                for m in draw(st.permutations(sources))]
+    return model, sources, shuffled
+
+
+def fold_rule_calls(model, sources):
+    """Every rule on the exact fold."""
+    yield lambda: dsm_classic(sources)
+    yield lambda: dsm_classic([lift(m) for m in sources])
+    for s3 in (S3_COMPONENTS, S3_UNION):
+        yield lambda: dsm_hybrid(model, sources, s3)
+        yield lambda: dsm_hybrid(model, [lift(m) for m in sources], s3)
+    for rule in (dempster, smets, yager):
+        yield lambda: rule(model, sources)
+    yield lambda: disjunctive(sources, model)
+    if len(sources) == 2:
+        yield lambda: dubois_prade(model, sources)
+        yield lambda: dsmc_improved(sources, model)
+        yield lambda: disjunctive_improved(sources, model)
+        for s3 in (S3_COMPONENTS, S3_UNION):
+            yield lambda: dsmh_improved(model, sources, s3)
+            yield lambda: tnorm_fusion("algebraic", sources, model, s3)
+            triples = [TripleMass(m.frame, {el: NeutrosophicTriple.of(v, v * v, 1 - v)
+                                            for el, v in m.items()}) for m in sources]
+            yield lambda: nnorm_fusion("algebraic", triples, model, s3)
+            yield lambda: nnorm_fusion("algebraic", triples, model, s3, normalize=False)
+
+
+def fold_outcome(call):
+    try:
+        r = call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return r.rule, r.mass.items(), r.conflict, r.warnings
+
+
+class Reordered:
+    """A source whose focal items come in the given order."""
+
+    def __init__(self, m, order):
+        self.frame = m.frame
+        self._items = [m.items()[i] for i in order]
+
+    def items(self):
+        return self._items
+
+
+@settings(max_examples=80, deadline=None)
+@given(fold_cases(), st.randoms(use_true_random=False))
+def test_fold_results_do_not_depend_on_source_or_focal_order(case, rng):
+    model, sources, shuffled = case
+    # the mass functions keep their focal items sorted, so the fold itself
+    # also gets them in a random order
+    plan = _transfer_plan(model, S3_COMPONENTS)
+    reordered = [Reordered(m, rng.sample(range(len(m)), len(m))) for m in sources]
+    assert _fold(reordered[::-1], plan) == _fold(sources, plan)
+    want = [fold_outcome(call) for call in fold_rule_calls(model, sources)]
+    assert [fold_outcome(call) for call in fold_rule_calls(model, shuffled)] == want
 
 
 # --- argument checking -------------------------------------------------------------------

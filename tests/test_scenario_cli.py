@@ -385,6 +385,20 @@ def test_directive_keywords_are_labels_on_focal_lines(keyword, tmp_path, capsys)
     assert capsys.readouterr().err == ""
 
 
+def test_forty_sources_fuse_to_the_closed_form(tmp_path, capsys):
+    """2^40 focal tuples; the fold keeps two states per source, and the
+    exact sums give th1|th2 the lone all-(th1|th2) tuple's 2^-40."""
+    text = "frame: th1 th2\n" + "".join(
+        f"source m{i}:\n  th1 = 0.5\n  th1 | th2 = 0.5\n" for i in range(40))
+    path = tmp_path / "forty.dsm"
+    path.write_text(text + "task: dsm_classic\n")
+    argv = ["fuse", "--scenario", str(path), "--format", "json", "--precision", "full"]
+    assert cli.main(argv) == 0
+    (task,) = json.loads(capsys.readouterr().out)["tasks"]
+    assert task["mass"] == {"th1": 1 - 2 ** -40, "th1|th2": 2 ** -40}
+    assert task["conflict"] == 0.0
+
+
 def two_source_doc(frame, name):
     return {"frame": frame, "sources": [{"name": name, "mass": {frame[-1]: 1.0}},
                                         {"mass": {frame[-1]: 1.0}}]}

@@ -1,15 +1,20 @@
-"""The shared-prefix combination walk against a literal tuple walk.
+"""The shared-prefix combination walk and the exact fold against a literal
+tuple walk.
 
 The oracle visits every focal tuple with itertools.product, folds its
 values left with the kernel, and recomputes each tuple's landing from its
 focal elements: the transfer, meet and join landings are written out here
-on whole element tuples. Patched in for the walk and its plans, it must
-give every public rule, T-norm, T-conorm and triple fusion the same
-masses, conflict and warnings, floats compared with ==, or the same error.
+on whole element tuples. In place of the fold it does the same in exact
+Fractions, so the fold's results must be the exact sums rounded once.
+Patched in for the walk, the fold and their plans, it must give every
+public rule, T-norm, T-conorm and triple fusion the same masses, conflict
+and warnings, floats compared with ==, or the same error.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 from operator import and_, mul, or_
 
 import pytest
@@ -37,12 +42,15 @@ def focal_items(m):
     return [(el, v) for el, v in m.items() if v != 0.0]
 
 
-def tuple_walk(sources, plan, kernel=mul, zero=0.0):
-    """Each tuple on its own: fold its facts and values, land it."""
+def tuple_walk(sources, plan, kernel=mul, zero=0.0, convert=None):
+    """Each tuple on its own: fold its facts and values (each value first
+    converted, when convert is given), land it."""
     facts, step, land = plan
     acc = {}
     conflict = lost = zero
     for combo in itertools.product(*map(focal_items, sources)):
+        if convert is not None:
+            combo = [(el, convert(v)) for el, v in combo]
         (el, v), rest = combo[0], combo[1:]
         state = facts(el)
         for el, w in rest:
@@ -57,6 +65,18 @@ def tuple_walk(sources, plan, kernel=mul, zero=0.0):
             acc[key] = acc.get(key, zero) + value
     frame = sources[0].frame
     return {LatticeElement(frame, k): x for k, x in acc.items()}, conflict, lost
+
+
+def fraction_walk(sources, plan):
+    """The tuple walk in exact Fractions, handed back as the fold hands its
+    sums back: ints over one denominator."""
+    acc, conflict, lost = tuple_walk(sources, plan, zero=Fraction(0), convert=Fraction)
+    den = lcm(*(x.denominator for x in (*acc.values(), conflict, lost)))
+
+    def exact(x):
+        return x.numerator * (den // x.denominator)
+
+    return {el: exact(x) for el, x in acc.items()}, exact(conflict), exact(lost), den
 
 
 def on_tuples(land):
@@ -99,6 +119,7 @@ def join(model):
 def patch_in_the_oracle(mp):
     for module in (rules, neutro):
         mp.setattr(module, "_walk", tuple_walk)
+        mp.setattr(module, "_fold", fraction_walk)
         mp.setattr(module, "_transfer_plan", route)
         mp.setattr(module, "_join_plan", join)
     mp.setattr(rules, "_meet_plan", meet)
