@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 parse or validation error, 3 rule error,
 import argparse
 import functools
 import sys
-from itertools import groupby
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
@@ -166,6 +166,16 @@ def _stream_lattice_table(model):
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_floats(values, precision):
+    """Floats as JSON, column-wise: each rounded to precision places (None
+    keeps every digit) and printed by float.__repr__, nan and the
+    infinities in json's spellings."""
+    if precision is not None:
+        values = map(round, values, repeat(precision))
+    texts = list(map(float.__repr__, values))
+    return map(_NONFINITE.get, texts, texts)
+
+
 def _json_text(value, precision, pad):
     """A reported value as JSON nested at indent pad: a float rounded to
     precision places (None keeps every digit), a triple as an array of its
@@ -195,20 +205,16 @@ def _json_strings(strings, pad):
     return _json_wrap([inner + _json_str(text) for text in strings], pad, "[]")
 
 
-def _ascii_items(labels, table):
-    """(canonical expression, value) per item of an element-keyed table."""
-    items = table.items()
-    return zip(expressions(labels, "ascii", [el.bits for el, _ in items]), [v for _, v in items])
-
-
-def _json_rows(table, labels, precision, pad):
-    """A table's values keyed by each element's canonical expression. The
-    keyed dict is freed before the rows are joined: a pignistic table can
-    have thousands of rows."""
-    inner = pad + "  "
-    rows = [f"{inner}{_json_str(k)}: {_json_text(v, precision, inner)}"
-            for k, v in dict(_ascii_items(labels, table)).items()]
-    return _json_wrap(rows, pad)
+def _json_rows(bitsets, texts, labels, pad, distinct=False):
+    """A JSON object closed at indent pad: each text keyed by its bitset's
+    canonical expression. As in a dict, a repeated expression keeps its
+    first place and its last text; distinct says none repeats, as for a
+    model's alive bitsets, and skips that dict."""
+    keys = map(_json_str, expressions(labels, "ascii", bitsets))
+    if not distinct:
+        rows = dict(zip(keys, texts))
+        keys, texts = rows, rows.values()
+    return _json_wrap(list(map(f"{pad}  {{}}: {{}}".format, keys, texts)), pad)
 
 
 def _json_head(frame, model):
@@ -229,14 +235,20 @@ def _json_task(r, labels, precision):
     warnings = list(r.report.warnings)
     if r.pignistic is not None:
         warnings += list(r.pignistic.warnings)
-    fields.append(f'{pad}"mass": {_json_rows(r.report.mass, labels, precision, pad)}')
+    mass = r.report.mass.items()
+    texts = [_json_text(v, precision, pad + "  ") for _, v in mass]
+    fields.append(f'{pad}"mass": {_json_rows([el.bits for el, _ in mass], texts, labels, pad)}')
     fields.append(f'{pad}"conflict": {_json_text(r.report.conflict, precision, pad)}')
     fields.append(f'{pad}"warnings": {_json_strings(warnings, pad)}')
     if r.bel is not None:
-        fields.append(f'{pad}"bel": {_json_rows(r.bel, labels, precision, pad)}')
-        fields.append(f'{pad}"pl": {_json_rows(r.pl, labels, precision, pad)}')
+        for name, table in (("bel", r.bel), ("pl", r.pl)):
+            rows = _json_rows([el.bits for el in table], _json_floats(table.values(), precision),
+                              labels, pad)
+            fields.append(f'{pad}"{name}": {rows}')
     if r.pignistic is not None:
-        fields.append(f'{pad}"pignistic": {_json_rows(r.pignistic, labels, precision, pad)}')
+        rows = _json_rows(r.pignistic.bits, _json_floats(r.pignistic.values, precision), labels, pad,
+                          distinct=True)
+        fields.append(f'{pad}"pignistic": {rows}')
     if r.decision is not None:
         inner = pad + "  "
         decision = [f'{inner}"choice": {_json_str(r.decision.choice.expr(style="ascii"))}',
@@ -279,23 +291,23 @@ def _single_block(r, labels, precision):
     if r.error is not None:
         lines.append(f"error: {type(r.error).__name__}: {r.error}")
         return lines
-    rows = {k: _format_value(v, precision) for k, v in _ascii_items(labels, r.report.mass)}
-    pignistic = [] if r.pignistic is None else \
-        [(k, _format_value(v, precision)) for k, v in _ascii_items(labels, r.pignistic)]
-    width = max([len(k) for k in rows] + [len(k) for k, _ in pignistic] + [7])
+    mass = r.report.mass.items()
+    rows = dict(zip(expressions(labels, "ascii", [el.bits for el, _ in mass]),
+                    [_format_value(v, precision) for _, v in mass]))
+    keys = [] if r.pignistic is None else list(expressions(labels, "ascii", r.pignistic.bits))
+    width = max(max(map(len, rows), default=0), max(map(len, keys), default=0), 7)
+    row = f"  {{:<{width}}}  {{}}".format
     lines.append("mass:")
-    for k, v in rows.items():
-        lines.append(f"  {k:<{width}}  {v}")
+    lines += map(row, rows, rows.values())
     lines.append(f"conflict: {_format_value(r.report.conflict, precision)}")
     if r.bel is not None:
         lines.append("bel/pl:")
-        for k, el in zip(expressions(labels, "ascii", [el.bits for el in r.bel]), r.bel):
-            bel, pl = _format_value(r.bel[el], precision), _format_value(r.pl[el], precision)
-            lines.append(f"  {k:<{width}}  {bel}  {pl}")
+        lines += map(f"  {{:<{width}}}  {{}}  {{}}".format,
+                     expressions(labels, "ascii", [el.bits for el in r.bel]),
+                     _table_floats(r.bel.values(), precision), _table_floats(r.pl.values(), precision))
     if r.pignistic is not None:
         lines.append("pignistic:")
-        for k, v in pignistic:
-            lines.append(f"  {k:<{width}}  {v}")
+        lines += map(row, keys, _table_floats(r.pignistic.values, precision))
     if r.decision is not None:
         tie = " (tie)" if r.decision.tie else ""
         lines.append(f"decision: {r.decision.choice.expr(style='ascii')}"
@@ -306,6 +318,13 @@ def _single_block(r, labels, precision):
     for w in warnings:
         lines.append(f"warning: {w}")
     return lines
+
+
+def _table_floats(values, precision):
+    """Floats as _format_value prints them, column-wise."""
+    if precision is None:
+        return map(repr, values)
+    return map(format, values, repeat(f".{precision}f"))
 
 
 def _compare_table(results, labels, precision):

@@ -1,125 +1,205 @@
 """Belief, plausibility, pignistic probabilities, and decisions.
 
 Subset and overlap tests run on model-reduced bitsets, so a query element
-and a focal element compare the way the model sees them. The pignistic
-transforms spread each focal element's mass over the lattice in proportion
-to shared cardinality; the classical variant additionally routes mass on
-zero-cardinality elements to the empty element (the 0/0 = 1 reading of the
-empty-over-empty ratio), which keeps open-world masses accounted for.
+and a focal element compare the way the model sees them; a mass's focal
+elements are reduced once per table, and each query sums over the reduced
+(bitset, value) pairs in the mass's order.
+
+The pignistic transform GPT(A) = sum over focal X of m(X) |X meet A| / |X|
+counts cardinalities in alive parts, so it is the sum over A's parts p of
+the part density q(p) = sum over focal X holding p of m(X) / |X|. q is
+exact: each m(X) is an int over its power of two (as_integer_ratio),
+shifted up to the largest power, times the lcm of the focal cardinalities
+over |X|, so every term is an int over one shared denominator. One
+256-entry table of sums of q per byte of a part bitset, summed over the
+model's alive bitsets by byte column (lattice._column_fold, the renderer's
+pass), gives each element's exact numerator, divided once by int true
+division: each value is the exact sum rounded once, whatever the order of
+the focal elements. The
+classical variant additionally moves mass on zero-cardinality elements to
+the empty element, exactly, before that rounding (the 0/0 = 1 reading of the
+empty-over-empty ratio), which keeps open-world masses accounted for; the
+model-general one skips such mass with a warning.
 """
 
-from dataclasses import dataclass
+from array import array
+from collections import namedtuple
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
+from math import lcm
+from operator import add, getitem, truediv
 
 from .errors import EmptyArgument, EmptyCandidates, ModelNotShafer
-from .lattice import Model
+from .lattice import LatticeElement, Model, _column_fold, _per_byte
 
 
 def _reduced_items(m, model):
-    return [(model.reduce(el), v) for el, v in m.items()]
+    """(reduced bitset, value) per focal element of m, in m's order."""
+    return [(model.reduce(el).bits, v) for el, v in m.items()]
+
+
+def _bel(items, ra):
+    total = 0.0
+    for rx, v in items:
+        if rx and rx & ~ra == 0:
+            total += v
+    return total
+
+
+def _pl(items, ra):
+    total = 0.0
+    for rx, v in items:
+        if rx & ra:
+            total += v
+    return total
+
+
+def _bel_improved(items, ra):
+    ca = ra.bit_count()
+    if ca == 0:
+        raise EmptyArgument("weighted belief undefined on a forbidden element")
+    total = 0.0
+    for rx, v in items:
+        if rx and rx & ~ra == 0:
+            total += v * rx.bit_count() / ca
+    return total
+
+
+def _pl_improved(items, ra):
+    if ra == 0:
+        raise EmptyArgument("weighted plausibility undefined on a forbidden element")
+    total = 0.0
+    for rx, v in items:
+        inter = rx & ra
+        if inter:
+            total += v * inter.bit_count() / (rx | ra).bit_count()
+    return total
+
+
+def _query(form, m, a, model):
+    """form over m's reduced focal items and a's reduced bitset."""
+    model = model or Model.free(m.frame)
+    ra = model.reduce(a).bits
+    return form(_reduced_items(m, model), ra)
 
 
 def bel(m, a, model=None):
     """Total mass of focal elements contained in a (empty ones aside)."""
-    model = model or Model.free(m.frame)
-    ra = model.reduce(a)
-    total = 0.0
-    for rx, v in _reduced_items(m, model):
-        if rx.bits and rx.bits & ~ra.bits == 0:
-            total += v
-    return total
+    return _query(_bel, m, a, model)
 
 
 def pl(m, a, model=None):
     """Total mass of focal elements overlapping a."""
-    model = model or Model.free(m.frame)
-    ra = model.reduce(a)
-    total = 0.0
-    for rx, v in _reduced_items(m, model):
-        if rx.bits & ra.bits:
-            total += v
-    return total
+    return _query(_pl, m, a, model)
 
 
 def bel_improved(m, a, model=None):
     """Inclusion-weighted belief: each contained focal element counts in
     proportion to its share of a's cardinality."""
-    model = model or Model.free(m.frame)
-    ra = model.reduce(a)
-    ca = ra.bits.bit_count()
-    if ca == 0:
-        raise EmptyArgument("weighted belief undefined on a forbidden element")
-    total = 0.0
-    for rx, v in _reduced_items(m, model):
-        if rx.bits and rx.bits & ~ra.bits == 0:
-            total += v * rx.bits.bit_count() / ca
-    return total
+    return _query(_bel_improved, m, a, model)
 
 
 def pl_improved(m, a, model=None):
     """Overlap-weighted plausibility: each overlapping focal element counts
     by its overlap fraction |x meet a| / |x join a|."""
-    model = model or Model.free(m.frame)
-    ra = model.reduce(a)
-    if ra.bits == 0:
-        raise EmptyArgument("weighted plausibility undefined on a forbidden element")
-    total = 0.0
+    return _query(_pl_improved, m, a, model)
+
+
+def bel_pl_tables(m, model):
+    """bel and pl of each focal element of m, keyed by it, from one
+    reduction of m's focal elements."""
+    items = _reduced_items(m, model)
+    keys = m.elements()
+    return (dict(zip(keys, [_bel(items, rx) for rx, _ in items])),
+            dict(zip(keys, [_pl(items, rx) for rx, _ in items])))
+
+
+class _Density(namedtuple("_Density", "tables empty den")):
+    """The exact part density of a mass: per byte of a part bitset, the
+    table of sums of q over the byte's set bits; the numerator the empty
+    element gets; and the one denominator of every sum."""
+
+    __slots__ = ()
+
+    def over(self, bitsets):
+        """The value of each bitset, its exact sum rounded once; bitsets
+        hold the empty element first, as alive bitsets do."""
+        values = array("d", map(truediv, _column_fold(add, self.tables, bitsets), repeat(self.den)))
+        if self.empty:
+            values[0] = self.empty / self.den
+        return values
+
+    def at(self, bits):
+        """The value of one bitset, as over gives it."""
+        total = sum(map(getitem, self.tables, bits.to_bytes(len(self.tables), "little")))
+        return (total if bits else self.empty) / self.den
+
+
+def _density(model, m, zero_cardinality):
+    """The part density of m under model, and the warnings for mass skipped.
+
+    zero_cardinality says what to do with mass on elements the model gives
+    cardinality 0: "skip" drops it with a warning, "to_empty" moves it to
+    the empty element.
+    """
+    focal, stranded, warnings = [], [], []
     for rx, v in _reduced_items(m, model):
-        inter = rx.bits & ra.bits
-        if inter:
-            total += v * inter.bit_count() / (rx.bits | ra.bits).bit_count()
-    return total
+        if rx:
+            focal.append((rx, *v.as_integer_ratio()))
+        elif v:
+            if zero_cardinality == "to_empty":
+                stranded.append(v.as_integer_ratio())
+            else:
+                warnings.append(f"mass {v:g} on forbidden element skipped by the transform")
+    top = max([d for _, _, d in focal] + [d for _, d in stranded], default=1).bit_length()
+    cards = lcm(*(rx.bit_count() for rx, _, _ in focal))
+    q = [0] * model.frame.part_count
+    for rx, n, d in focal:
+        w = (n << (top - d.bit_length())) * (cards // rx.bit_count())
+        while rx:
+            low = rx & -rx
+            q[low.bit_length() - 1] += w
+            rx ^= low
+    empty = sum(n << (top - d.bit_length()) for n, d in stranded) * cards
+    return _Density(_per_byte(q, 0, add), empty, cards << (top - 1)), tuple(warnings)
 
 
 @dataclass(frozen=True)
 class PignisticDistribution:
-    """Probability attached to every element the model keeps distinct."""
+    """Probability attached to every element the model keeps distinct: bits
+    holds their reduced bitsets, empty first, and values one float each.
+    density answers prob for any element; gpt and cpt set it."""
 
     model: Model
-    values: dict
+    bits: object
+    values: object
     warnings: tuple = ()
+    density: _Density = field(default=None, repr=False, compare=False)
 
     def prob(self, element):
-        return self.values[self.model.reduce(element)]
+        """The value of element's reduction, the one the table holds."""
+        return self.density.at(self.model.reduce(element).bits)
 
     def items(self):
-        return self.values.items()
+        """An iterator of (LatticeElement, value) per row, each element built
+        as it is read."""
+        return zip(map(partial(LatticeElement, self.model.frame), self.bits), self.values)
 
 
 def _spread(model, m, zero_cardinality):
-    """Shared pignistic accumulation.
-
-    zero_cardinality says what to do with mass on elements the model gives
-    cardinality 0: "skip" drops it with a warning, "to_empty" moves it to
-    the empty element, which the alive list holds first. Each focal element
-    adds w[shared] to every alive element, w[0] being 0.0, so an element it
-    does not reach keeps its value exactly.
-    """
-    alive = model.alive_elements()
-    alive_bits = [el.bits for el in alive]
-    acc = [0.0] * len(alive)
-    warnings = []
-    for rx, v in _reduced_items(m, model):
-        xb = rx.bits
-        cx = xb.bit_count()
-        if cx == 0:
-            if v:
-                if zero_cardinality == "to_empty":
-                    acc[0] += v
-                else:
-                    warnings.append(
-                        f"mass {v:g} on forbidden element skipped by the transform"
-                    )
-            continue
-        w = [0.0] + [v * shared / cx for shared in range(1, cx + 1)]
-        acc = [t + w[(xb & b).bit_count()] for t, b in zip(acc, alive_bits)]
-    return dict(zip(alive, acc)), tuple(warnings)
+    """The pignistic table of m over the model's alive elements."""
+    density, warnings = _density(model, m, zero_cardinality)
+    # alive_elements(as_bits=True) is alive_bits under the name perfbench's
+    # tracer times lattice enumeration by
+    bits = model.alive_elements(as_bits=True)
+    return PignisticDistribution(model, bits, density.over(bits), warnings, density)
 
 
 def gpt(model, m):
     """Pignistic transform with model cardinalities, defined on the whole
     reduced lattice."""
-    values, warnings = _spread(model, m, "skip")
-    return PignisticDistribution(model, values, warnings)
+    return _spread(model, m, "skip")
 
 
 def cpt(model, m):
@@ -127,8 +207,7 @@ def cpt(model, m):
     exclusive so cardinalities count surviving singletons."""
     if not model.is_shafer_compatible():
         raise ModelNotShafer("classical transform needs pairwise-exclusive hypotheses")
-    values, warnings = _spread(model, m, "to_empty")
-    return PignisticDistribution(model, values, warnings)
+    return _spread(model, m, "to_empty")
 
 
 @dataclass(frozen=True)

@@ -435,8 +435,11 @@ class Model:
         """Iterator over the distinct reduced elements, in alive_bits order."""
         return map(partial(LatticeElement, self.frame), self.alive_bits())
 
-    def alive_elements(self):
-        """Distinct reduced elements, deterministic order, empty first."""
+    def alive_elements(self, as_bits=False):
+        """Distinct reduced elements, deterministic order, empty first; with
+        as_bits, their bitsets (alive_bits) and no element built."""
+        if as_bits:
+            return self.alive_bits()
         return list(self.iter_alive_elements())
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from . import neutro, rules
 from .decision import decide as decide_fn
-from .decision import bel, gpt, pl
+from .decision import bel, bel_pl_tables, gpt, pl  # noqa: F401 - perfbench's tracer wraps bel and pl
 from .errors import DsmError, ParseError, ValidationError
 from .lattice import Frame, LatticeElement, Model, _label_atoms
 from .mass import (
@@ -569,8 +569,7 @@ def _run_one(scenario, task, rid):
         raise
     result = TaskResult(task, rid, report=report)
     if task.decide and isinstance(report.mass, PreciseMass):
-        result.bel = {el: bel(report.mass, el, report.model) for el, _ in report.mass.items()}
-        result.pl = {el: pl(report.mass, el, report.model) for el, _ in report.mass.items()}
+        result.bel, result.pl = bel_pl_tables(report.mass, report.model)
         result.pignistic = gpt(report.model, report.mass)
         result.decision = decide_fn(result.pignistic)
     return result

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from dsmfuse.decision import (
     pl,
     pl_improved,
 )
-from dsmfuse.errors import EmptyArgument, EmptyCandidates, ModelNotShafer
+from dsmfuse.errors import EmptyArgument, EmptyCandidates, FrameMismatch, ModelNotShafer
 from dsmfuse.lattice import (
     Frame,
     LatticeElement,
@@ -191,11 +192,10 @@ def test_classical_transform_rejects_overlapping_models():
 
 
 def ref_spread(model, m, zero_cardinality):
-    """The pignistic accumulation as first written: a dict keyed by the
-    alive elements, one lookup and add per focal element and alive element
-    that share a part."""
+    """The pignistic table as the sum that defines it: per alive element, in
+    exact Fractions, the share of every focal element it meets, rounded once."""
     alive = model.alive_elements()
-    values = {el: 0.0 for el in alive}
+    values = {el: Fraction(0) for el in alive}
     warnings = []
     empty = model.frame.empty()
     for x, v in m.items():
@@ -204,7 +204,7 @@ def ref_spread(model, m, zero_cardinality):
         if cx == 0:
             if v:
                 if zero_cardinality == "to_empty":
-                    values[empty] += v
+                    values[empty] += Fraction(v)
                 else:
                     warnings.append(
                         f"mass {v:g} on forbidden element skipped by the transform"
@@ -213,8 +213,23 @@ def ref_spread(model, m, zero_cardinality):
         for el in alive:
             shared = (rx.bits & el.bits).bit_count()
             if shared:
-                values[el] += v * shared / cx
-    return values, tuple(warnings)
+                values[el] += Fraction(v) * shared / cx
+    return {el: float(v) for el, v in values.items()}, tuple(warnings)
+
+
+def assert_matches_ref_spread(model, m):
+    values, warnings = ref_spread(model, m, "skip")
+    g = gpt(model, m)
+    assert [(el, v.hex()) for el, v in g.items()] == [(el, v.hex()) for el, v in values.items()]
+    assert g.warnings == warnings
+    if not model.is_shafer_compatible():
+        with pytest.raises(ModelNotShafer):
+            cpt(model, m)
+        return
+    values, warnings = ref_spread(model, m, "to_empty")
+    c = cpt(model, m)
+    assert [(el, v.hex()) for el, v in c.items()] == [(el, v.hex()) for el, v in values.items()]
+    assert c.warnings == warnings
 
 
 @st.composite
@@ -235,19 +250,52 @@ def model_and_mass(draw):
 @given(model_and_mass())
 @settings(max_examples=200, deadline=None)
 def test_pignistic_spread_matches_the_dict_oracle(case):
+    assert_matches_ref_spread(*case)
+
+
+def test_pignistic_spread_matches_the_dict_oracle_on_five_hypotheses():
+    # 31 parts: the density's four byte tables, the last one partly filled
+    f = Frame(tuple(f"th{i}" for i in range(1, 6)))
+    rng = random.Random(27)
+    free = enumerate_bitsets(5)
+    focal = [LatticeElement(f, b) for b in rng.sample(free[1:], 12)] + [f.total_ignorance()]
+    weights = [rng.random() for _ in focal]
+    m = PreciseMass(f, {el: w / sum(weights) for el, w in zip(focal, weights)})
+    assert_matches_ref_spread(Model.free(f), m)
+    assert_matches_ref_spread(Model.shafer(f), m)
+
+
+def test_classical_transform_gives_forbidden_mass_to_the_empty_element_exactly():
+    # three forbidden elements: 0.1 + 0.2 + 0.3 added in turn as floats is
+    # 0.6000000000000001, their exact sum rounded once is 0.6
+    m = PreciseMass(F3, {TH1 & TH2: 0.1, TH1 & TH3: 0.2, TH2 & TH3: 0.3, TH1: 0.4})
+    c = cpt(THIRD_RULED_OUT, m)
+    assert c.prob(F3.empty()) == 0.6
+    assert dict(c.items())[F3.empty()] == 0.6
+    assert not c.warnings
+    assert_matches_ref_spread(THIRD_RULED_OUT, m)
+
+
+@given(model_and_mass())
+@settings(max_examples=100, deadline=None)
+def test_decisions_agree_with_the_table(case):
     model, m = case
-    values, warnings = ref_spread(model, m, "skip")
-    g = gpt(model, m)
-    assert [(el, v.hex()) for el, v in g.items()] == [(el, v.hex()) for el, v in values.items()]
-    assert g.warnings == warnings
-    if not model.is_shafer_compatible():
-        with pytest.raises(ModelNotShafer):
-            cpt(model, m)
+    dist = gpt(model, m)
+    table = dict(zip(dist.bits, dist.values))
+    assert len(table) == len(dist.values)
+    for el in model.alive_elements():
+        assert dist.prob(el) == table[el.bits]
+    atoms = {model.reduce(model.frame.atom(i)).bits for i in range(1, model.frame.n + 1)} - {0}
+    if not atoms:
+        with pytest.raises(EmptyCandidates):
+            decide(dist)
         return
-    values, warnings = ref_spread(model, m, "to_empty")
-    c = cpt(model, m)
-    assert [(el, v.hex()) for el, v in c.items()] == [(el, v.hex()) for el, v in values.items()]
-    assert c.warnings == warnings
+    d = decide(dist)
+    assert d.score == table[d.choice.bits]
+    assert d.tie == any(table[b] == d.score for b in atoms - {d.choice.bits})
+    other = Frame(model.frame.labels + ("other",))
+    with pytest.raises(FrameMismatch):
+        dist.prob(other.atom(1))
 
 
 # --- decisions ------------------------------------------------------------------------

@@ -17,6 +17,17 @@ def test_output_digest_is_repeatable():
     assert first == second
 
 
+def test_output_digest_lists_each_run():
+    argv = [sys.executable, TOOL, "--workload", "cli_golden", "--seeds", "1"]
+    total = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    listed = subprocess.run(argv + ["--runs"], capture_output=True, text=True, check=True).stdout
+    head, runs = listed.splitlines(keepends=True)[:2], listed.splitlines()[2:]
+    assert "".join(head) == total
+    assert len(runs) == 32
+    assert all(re.fullmatch(r"cli_golden 1 \S+ [0-9a-f]{64}", line) for line in runs)
+    assert len({line.split()[2] for line in runs}) == 32
+
+
 def test_imprecise_outputs_are_pinned():
     # Every imprecise and triple request of the benchmark pools on the default
     # seeds, at full precision and at --precision 6. The set arithmetic must
@@ -33,8 +44,9 @@ def test_wide_lattice_outputs_are_pinned():
     # Every listing and pignistic table of the wide_lattice pool on seed 1:
     # the byte-column renderer must keep these bytes; a change to the
     # generator in perfbench/workloads.py must re-pin the two values. The
-    # fused masses behind the tables are exact sums, rounded once.
+    # fused masses behind the tables, and each pignistic value, are exact
+    # sums, rounded once.
     argv = [sys.executable, TOOL, "--workload", "wide_lattice", "--seeds", "1"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
     assert out == ("runs 29\n"
-                   "sha256 fedc3a8b5f1b1361e0f000a75b93b91b4c40c5c3a6f2df59d43ac0584bec46df\n")
+                   "sha256 9129fcd717dffd642e891f4d40ee85d2b638eb5dce99b65db55f62ae0321f9c8\n")

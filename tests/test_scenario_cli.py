@@ -810,7 +810,10 @@ def fuse_reports(draw):
         result = TaskResult(task, rule, report=report)
         if draw(st.booleans()):
             result.bel, result.pl = table(floats), table(floats)
-            result.pignistic = PignisticDistribution(model, table(floats), tuple(draw(texts)))
+            # a pignistic table's rows are alive bitsets of the model, as gpt makes them
+            bits = draw(st.lists(st.sampled_from(list(model.alive_bits())), max_size=5, unique=True))
+            probs = draw(st.lists(floats, min_size=len(bits), max_size=len(bits)))
+            result.pignistic = PignisticDistribution(model, bits, probs, tuple(draw(texts)))
             result.decision = DecisionResult(draw(elements), draw(floats), draw(st.booleans()), ())
         results.append(result)
     return Scenario(frame, model, (), ()), results

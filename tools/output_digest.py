@@ -1,6 +1,6 @@
 """One SHA-256 over every output of the benchmark's request pools.
 
-    python3 tools/output_digest.py [--workload NAME ...] [--seeds 1 2 3 7 11 13]
+    python3 tools/output_digest.py [--workload NAME ...] [--seeds 1 2 3 7 11 13] [--runs]
 
 Run from the root of a checkout. For each workload and seed it builds the
 request pool of `perfbench/workloads.py` in a temporary directory and runs
@@ -12,6 +12,9 @@ exit code, stdout, stderr) into one hash.
 It prints the run count and the hex digest. Two trees that print the same
 digest wrote the same bytes for every run, so a change meant to keep the
 output can be checked by running this on the parent and on the change.
+With --runs it then prints one line per run, "workload seed run-id sha256"
+over that run alone, so a diff of two trees' listings names the runs whose
+bytes moved.
 """
 
 import argparse
@@ -63,21 +66,23 @@ def _import(module):
 
 
 def digest(names, seeds):
-    """(run count, hex SHA-256) over every run of the named workloads."""
+    """(run count, hex SHA-256 over every run of the named workloads, one
+    "workload seed run-id sha256" line per run)."""
     workloads = _import("workloads")
     main = _import("dsmfuse.cli").main
 
     h = hashlib.sha256()
-    count = 0
+    lines = []
     for name in names:
         for seed in seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 pool = workloads.build(name, seed, Path(tmp), SCENARIOS)
                 for rid, argv in _runs(pool):
                     rc, out, err = _execute(main, argv)
-                    h.update(json.dumps([name, seed, rid, rc, out, err]).encode())
-                    count += 1
-    return count, h.hexdigest()
+                    run = json.dumps([name, seed, rid, rc, out, err]).encode()
+                    h.update(run)
+                    lines.append(f"{name} {seed} {rid} {hashlib.sha256(run).hexdigest()}")
+    return len(lines), h.hexdigest(), lines
 
 
 def main(argv=None):
@@ -85,15 +90,20 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", dest="workloads",
                         help="workload to run (repeatable; default every workload)")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    parser.add_argument("--runs", action="store_true",
+                        help="also print one SHA-256 per run, after the total")
     args = parser.parse_args(argv)
     known = _import("workloads").WORKLOADS
     names = args.workloads or list(known)
     for name in names:
         if name not in known:
             parser.error(f"unknown workload {name!r}")
-    count, hexdigest = digest(names, args.seeds)
+    count, hexdigest, lines = digest(names, args.seeds)
     print(f"runs {count}")
     print(f"sha256 {hexdigest}")
+    if args.runs:
+        for line in lines:
+            print(line)
     return 0
 
 
