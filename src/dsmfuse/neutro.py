@@ -7,20 +7,19 @@ components, leaves accumulated sums unclamped (a component may well exceed
 1 before normalization), and normalizes each output triple by the sum of
 its components.
 
-Triple fusion reads each focal triple as a (t, i, f) float tuple once per
+Triple fusion reads each focal triple as a (t, i, f) point triple once per
 source, and the output components are point sets built directly (see
-mass). The algebraic N-norm is the product componentwise, so each
-component takes the rules' exact fold: every sum is exact and rounded
-once, and the raw truth channel is the precise conjunctive rule exactly.
-The other kernels walk the pairs with the kernel mapped over two such
-tuples.
+mass). The algebraic N-norm is the product componentwise, so the triples
+take the rules' exact fold, all three components in one pass: every sum
+is exact and rounded once, and the raw truth channel is the precise
+conjunctive rule exactly. The other kernels walk the pairs with the kernel
+mapped over two such triples.
 """
 
 from dataclasses import dataclass
-from functools import cache
-from math import lcm
 
 from .errors import ValidationError, ZeroSum
+from .lattice import LatticeElement
 from .mass import SubunitarySet, _MassBase
 from .rules import (
     FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _fold, _join_plan, _kernel, _prepare,
@@ -169,58 +168,33 @@ class TripleMass(_MassBase):
 
 
 class _PointTriple(tuple):
-    """(t, i, f) floats that add component by component: the value type
-    triple fusion sums on the shared walk."""
+    """(t, i, f) numbers with componentwise arithmetic: the value type
+    triple fusion sums, floats on the walk and ints on the fold. Its
+    integer ratio is three ints over one power of two, the floats
+    exactly, so the fold carries all three components in one pass."""
 
     __slots__ = ()
 
     def __add__(self, other):
         return _PointTriple((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
+    def __radd__(self, zero):
+        # 0 + t: the fold starts each sum from the int 0
+        return self + (zero, zero, zero)
+
+    def __mul__(self, other):
+        return _PointTriple((self[0] * other[0], self[1] * other[1], self[2] * other[2]))
+
+    def __lshift__(self, k):
+        return _PointTriple((self[0] << k, self[1] << k, self[2] << k))
+
+    def as_integer_ratio(self):
+        ratios = [x.as_integer_ratio() for x in self]
+        den = max(d for _, d in ratios)
+        return _PointTriple(n * (den // d) for n, d in ratios), den
+
 
 _ZERO = _PointTriple((0.0, 0.0, 0.0))
-
-
-class _Points:
-    """A triple source as the walk reads it: its frame, and its focal
-    elements with their triples as (t, i, f) float tuples, all of them
-    kept (a tuple is never equal to 0.0); component(k) is the source as
-    the fold reads component k."""
-
-    __slots__ = ("frame", "_items")
-
-    def __init__(self, frame, items):
-        self.frame = frame
-        self._items = items
-
-    @classmethod
-    def of(cls, m):
-        return cls(m.frame, [(el, trip.as_points()) for el, trip in m.items()])
-
-    def component(self, k):
-        return _Points(self.frame, [(el, v[k]) for el, v in self._items])
-
-    def items(self):
-        return self._items
-
-
-def _exact_sums(sources, plan):
-    """The algebraic fusion's (t, i, f) sums per element as exact ints over
-    one denominator, that denominator, and the truth conflict rounded once:
-    each component is folded on its own, as the product acts componentwise,
-    and the three folds share each element's facts and each state's
-    landing."""
-    facts, step, land = plan
-    plan = cache(facts), step, cache(land)
-    points = [_Points.of(m) for m in sources]
-    folds = [_fold([p.component(k) for p in points], plan) for k in range(3)]
-    den = lcm(*(d for *_, d in folds))
-    sums = {}
-    for k, (acc, _, _, d) in enumerate(folds):
-        for el, n in acc.items():
-            sums.setdefault(el, [0, 0, 0])[k] = n * (den // d)
-    _, conflict, _, d = folds[0]
-    return sums, den, conflict / d
 
 
 def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
@@ -228,11 +202,16 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
+    # every focal triple is kept: a tuple is never equal to 0.0
+    points = [_MassBase(m.frame, {el: _PointTriple(trip.as_points()) for el, trip in m.items()})
+              for m in sources]
     if name == "nnorm[algebraic]":
-        acc, den, conflict = _exact_sums(sources, plan(model))
+        acc, conflict, _, den = _fold(points, plan(model))
+        acc = {LatticeElement(model.frame, k): v for k, v in acc.items()}
+        conflict = conflict[0] / den if conflict else 0.0
     else:
         # Exactly two sources, so the kernel always meets two source triples.
-        acc, conflict, _ = _walk([_Points.of(m) for m in sources], plan(model),
+        acc, conflict, _ = _walk(points, plan(model),
                                  lambda a, b: _PointTriple(map(kernel, a, b)), _ZERO)
         conflict, den = conflict[0], 1.0
     point = SubunitarySet.point

@@ -8,30 +8,36 @@ landing needs of one focal element; `step(state, fact)` folds it into a
 prefix's state (a one-item prefix's state is its fact); `land(state)` maps
 a tuple's final state to `(key, weight, dead)`. The value (times `weight`
 unless None) is added on the int bits `key`, or handed back as dropped when
-`key` is None, and counts as conflict when `dead`. The plans:
+`key` is None, and counts as conflict when `dead`. Facts and states are
+built from ints (bitsets, tuples and frozensets of them, or None), never
+from elements, so the fold's dicts hash them at C speed. The plans:
 
 - transfer: a live intersection keeps its mass; a forbidden one goes to
   the union of the hypotheses involved or, when every component is itself
   forbidden, to the union of their component hypotheses, falling back to
   total ignorance. On the free lattice this is the classic rule;
-- meet: forbidden intersections are conflict and land nowhere; dempster
-  normalizes them away, smets keeps them on the empty element, yager on
-  total ignorance;
+- meet: a forbidden intersection is conflict and lands on the plan's dead
+  target: nowhere for dempster, which normalizes it away, the empty
+  element (0) for smets and total ignorance for yager;
 - join: each tuple lands on the union of its focal elements;
-- pair: the state is the two focal elements. dubois_prade retries the
+- pair: the state is the two focal bitsets. dubois_prade retries the
   union of a forbidden intersection and drops the mass whose union is
-  forbidden too; the degree-weighted rules weight each pair.
+  forbidden too; the degree-weighted rules weight each pair by exact
+  ratios of alive part counts.
 
 Two loops run the plans. `_fold` runs every product rule: dsm_classic,
 dsm_hybrid, dempster, smets, yager, disjunctive, dubois_prade, the three
-degree-weighted rules, tnorm[algebraic] and neutro's nnorm[algebraic]. Each
-source's floats are scaled exactly onto ints over one power of two, so
-every product and sum is an exact int; the fold combines one source at a
-time over the distinct states and lands each final state once. Each fused
-mass, conflict and dropped mass is rounded once, by int true division,
-which rounds correctly. So the results are the exact sums rounded once,
-the same whatever the order of the sources and of the focal items, and the
-cost grows with the distinct states, not with the tuples. Degree weights
+degree-weighted rules, tnorm[algebraic] and neutro's nnorm[algebraic]. A
+value is a float or neutro's (t, i, f) point triple, whose arithmetic is
+componentwise, so one fold carries all three components. Each source's
+values are scaled exactly onto ints over one power of two, so every
+product and sum is an exact int; the fold combines one source at a time
+over the distinct states and lands each final state once, on int keys.
+`_rounded` turns those keys into elements; each fused mass, conflict and
+dropped mass is rounded once, by int true division, which rounds
+correctly. So the results are the exact sums rounded once, the same
+whatever the order of the sources and of the focal items, and the cost
+grows with the distinct states, not with the tuples. Degree weights
 are exact ratios of cardinalities, and normalizations divide exact sums.
 Dempster divides each alive sum by the exact alive total, not by 1 - k12:
 the two differ when the inputs do not sum to exactly 1 in binary, and only
@@ -51,7 +57,6 @@ whose every value is a point take the fold and come back as point sets, so
 they reproduce the precise rules bit for bit.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -65,7 +70,7 @@ from .errors import (
     TotalConflict,
     ValidationError,
 )
-from .lattice import LatticeElement, Model, component_union, dsm_cardinality, upward_closure
+from .lattice import LatticeElement, Model, component_union, upward_closure
 from .mass import ImpreciseMass, PreciseMass, SubunitarySet, is_admissible, lift
 
 _NEAR_ZERO = 1e-12
@@ -168,14 +173,19 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
 def _fold(sources, plan):
     """Sum every focal tuple's product on its landing site, exactly.
 
-    Each source's nonzero float values become ints over one power of two,
-    the floats exactly: as_integer_ratio gives each value's own power of
-    two, and the smaller ones are shifted up to the largest (a fixed 2**S
-    scale would overflow near subnormals). The sources are folded in one at
-    a time over a dict of distinct states and their exact int sums, then
+    A value is anything with as_integer_ratio whose ints add, multiply and
+    shift: a float, or neutro's (t, i, f) point triple, whose ratio is
+    three ints over one power of two and whose arithmetic is componentwise.
+    Each source's nonzero values become ints over one power of two, the
+    floats exactly: as_integer_ratio gives each value's own power of two,
+    and the smaller ones are shifted up to the largest (a fixed 2**S scale
+    would overflow near subnormals). The sources are folded in one at a
+    time over a dict of distinct states and their exact int sums, then
     each final state is landed once; a weight from land is an int or a
-    Fraction. Returns (sums per element, conflict, mass dropped on key None,
-    den): ints, each standing for itself over den.
+    Fraction, and only weights bring an lcm. Returns (sums per int key,
+    conflict, mass dropped on key None, den): ints (or triples of ints),
+    each standing for itself over den; a conflict or dropped mass with no
+    tuple is the int 0.
     """
     facts, step, land = plan
     states, shift = None, 0
@@ -184,20 +194,23 @@ def _fold(sources, plan):
         top = max([d for _, _, d in ratios], default=1).bit_length()
         shift += top - 1
         items = [(fact, n << (top - d.bit_length())) for fact, n, d in ratios]
-        folded = defaultdict(int)
+        folded = {}
         if states is None:
             for fact, n in items:
-                folded[fact] += n
+                folded[fact] = folded.get(fact, 0) + n
         else:
             for state, a in states.items():
                 for fact, b in items:
-                    folded[step(state, fact)] += a * b
+                    final = step(state, fact)
+                    folded[final] = folded.get(final, 0) + a * b
         states = folded
-    landed = [(land(state), x) for state, x in states.items()]
-    scale = lcm(*[w.denominator for (_, w, _), _ in landed if w is not None])
+    landed = [(*land(state), x) for state, x in states.items()]
+    weights = [w.denominator for _, w, _, _ in landed if w is not None]
+    scale = lcm(*weights) if weights else 1
+    if scale != 1:
+        landed = [(key, w, dead, x * scale) for key, w, dead, x in landed]
     acc, conflict, lost = {}, 0, 0
-    for (key, weight, dead), x in landed:
-        x *= scale
+    for key, weight, dead, x in landed:
         value = x if weight is None else x * weight.numerator // weight.denominator
         if dead:
             conflict += x
@@ -205,23 +218,24 @@ def _fold(sources, plan):
             lost += value
         else:
             acc[key] = acc.get(key, 0) + value
-    frame = sources[0].frame
-    return {LatticeElement(frame, k): v for k, v in acc.items()}, conflict, lost, scale << shift
+    return acc, conflict, lost, scale << shift
 
 
-def _rounded(acc, den):
-    """Exact sums over den as floats, each rounded once."""
-    return {el: n / den for el, n in acc.items()}
+def _rounded(frame, acc, den):
+    """The fold's sums as floats on elements: each int key becomes an
+    element of frame, and each exact sum over den is rounded once (int true
+    division rounds correctly)."""
+    return {LatticeElement(frame, k): n / den for k, n in acc.items()}
 
 
 # --- plans -------------------------------------------------------------------------
 
-# The two-source rules land the pair of focal elements itself.
-_PAIR = (lambda el: el, lambda x, y: (x, y))
+# The two-source rules land the pair of focal bitsets itself.
+_PAIR = (attrgetter("bits"), lambda x, y: (x, y))
 
 
 def _transfer_plan(model, s3_target):
-    """The state is the raw meet, the forbidden elements while every one is
+    """The state is the raw meet, the forbidden bitsets while every one is
     forbidden (else None), and what the s3 target reads: the meet of the
     upward closures for components, the join for union."""
     frame, alive = model.frame, ~model.emptied
@@ -230,7 +244,7 @@ def _transfer_plan(model, s3_target):
     fold = and_ if components else or_
 
     def facts(el):
-        forbidden = None if el.bits & alive else frozenset((el,))
+        forbidden = None if el.bits & alive else frozenset((el.bits,))
         return el.bits, forbidden, upward_closure(el).bits if components else el.bits
 
     def step(a, b):
@@ -242,8 +256,8 @@ def _transfer_plan(model, s3_target):
             return meet & alive, None, False
         if forbidden:
             target = 0
-            for el in forbidden:
-                target |= component_union(el).bits
+            for bits in forbidden:
+                target |= component_union(LatticeElement(frame, bits)).bits
         elif components:
             # Focal elements keyed by reduced representatives have lost their
             # dead parts, so the raw meet can bottom out even though the free
@@ -254,10 +268,12 @@ def _transfer_plan(model, s3_target):
     return facts, step, land
 
 
-def _meet_plan(model):
+def _meet_plan(model, dead=None):
+    """A live meet keeps its mass; a forbidden one is conflict and lands on
+    dead: None (nowhere), 0 (the empty element) or a bitset."""
     alive = ~model.emptied
     return (attrgetter("bits"), and_,
-            lambda meet: (meet & alive, None, False) if meet & alive else (None, None, True))
+            lambda meet: (meet & alive, None, False) if meet & alive else (dead, None, True))
 
 
 def _join_plan(model):
@@ -301,7 +317,7 @@ def _dsm_rule(rule, model, sources, s3_target):
         sources = [PreciseMass(m.frame, {el: s.as_point() for el, s in m.items()})
                    for m in sources]
     acc, conflict, _, den = _fold(sources, plan)
-    mass, conflict = PreciseMass(model.frame, _rounded(acc, den)), conflict / den
+    mass, conflict = PreciseMass(model.frame, _rounded(model.frame, acc, den)), conflict / den
     if imprecise:
         mass, conflict = lift(mass), SubunitarySet.point(conflict)
     return FusionReport(rule, model, mass, conflict, tuple(warnings))
@@ -314,7 +330,8 @@ def dempster(model, sources):
     total = sum(alive.values())
     if total / den <= _NEAR_ZERO:
         raise TotalConflict(f"sources are fully conflicting (k12={dead / den})")
-    return FusionReport("dempster", model, PreciseMass(model.frame, _rounded(alive, total)),
+    return FusionReport("dempster", model,
+                        PreciseMass(model.frame, _rounded(model.frame, alive, total)),
                         dead / den, tuple(warnings))
 
 
@@ -322,12 +339,9 @@ def smets(model, sources):
     """Conjunctive consensus with the conflicting mass kept on the empty
     element (open-world reading)."""
     model, warnings = _prepare(sources, "smets", model)
-    alive, dead, _, den = _fold(sources, _meet_plan(model))
-    empty = model.frame.empty()
-    if dead > 0:
-        alive[empty] = alive.get(empty, 0) + dead
-    return FusionReport("smets", model,
-                        PreciseMass(model.frame, _rounded(alive, den), allows_empty_focal=True),
+    acc, dead, _, den = _fold(sources, _meet_plan(model, 0))
+    return FusionReport("smets", model, PreciseMass(model.frame, _rounded(model.frame, acc, den),
+                                                    allows_empty_focal=True),
                         dead / den, tuple(warnings))
 
 
@@ -335,11 +349,9 @@ def yager(model, sources):
     """Conjunctive consensus with the conflicting mass moved to total
     ignorance."""
     model, warnings = _prepare(sources, "yager", model)
-    alive, dead, _, den = _fold(sources, _meet_plan(model))
-    if dead > 0:
-        it = model.reduce(model.frame.total_ignorance())
-        alive[it] = alive.get(it, 0) + dead
-    return FusionReport("yager", model, PreciseMass(model.frame, _rounded(alive, den)),
+    it = model.reduce(model.frame.total_ignorance()).bits
+    acc, dead, _, den = _fold(sources, _meet_plan(model, it))
+    return FusionReport("yager", model, PreciseMass(model.frame, _rounded(model.frame, acc, den)),
                         dead / den, tuple(warnings))
 
 
@@ -349,12 +361,14 @@ def dubois_prade(model, sources):
     output plus a warning, no renormalization)."""
     model, warnings = _prepare(sources, "dubois_prade", model, exactly=2)
 
+    alive = ~model.emptied
+
     def land(pair):
         x, y = pair
-        key = model.reduce(x & y).bits
+        key = x & y & alive
         if key:
             return key, None, False
-        return (model.reduce(x | y).bits or None), None, True
+        return ((x | y) & alive or None), None, True
 
     acc, dead, lost, den = _fold(sources, (*_PAIR, land))
     if lost > 0:
@@ -363,7 +377,8 @@ def dubois_prade(model, sources):
             f"mass {lost:.6f} fell on forbidden unions; output is subnormal"
             f" (total {1.0 - lost:.6f})"
         )
-    return FusionReport("dubois_prade", model, PreciseMass(model.frame, _rounded(acc, den)),
+    return FusionReport("dubois_prade", model,
+                        PreciseMass(model.frame, _rounded(model.frame, acc, den)),
                         dead / den, tuple(warnings))
 
 
@@ -372,31 +387,31 @@ def disjunctive(sources, model=None):
     elements."""
     model, warnings = _prepare(sources, "disjunctive", model)
     acc, _, _, den = _fold(sources, _join_plan(model))
-    return FusionReport("disjunctive", model, PreciseMass(model.frame, _rounded(acc, den)), 0.0,
+    return FusionReport("disjunctive", model,
+                        PreciseMass(model.frame, _rounded(model.frame, acc, den)), 0.0,
                         tuple(warnings))
 
 
 # --- similarity degrees --------------------------------------------------------
 
-def _intersection_degree(model, x, y):
-    cu = dsm_cardinality(model, x | y)
-    return Fraction(dsm_cardinality(model, x & y), cu) if cu else 1
-
-
-def _union_degree(model, x, y):
-    cu = dsm_cardinality(model, x | y)
-    return Fraction(cu - dsm_cardinality(model, x & y), cu) if cu else 0
+def _intersection_degree(alive, x, y):
+    """|x meet y| / |x join y| on bitsets x and y, exactly, counting the
+    parts in the mask alive; the union degree is 1 minus it."""
+    cu = ((x | y) & alive).bit_count()
+    return Fraction((x & y & alive).bit_count(), cu) if cu else 1
 
 
 def degree_of_intersection(model, x, y):
     """Shared fraction of two elements: |x meet y| / |x join y| under the
     model's cardinality. Both elements forbidden counts as identical (1)."""
-    return float(_intersection_degree(model, x, y))
+    model.reduce(x | y)  # TypeError for a non-element, FrameMismatch across frames
+    return float(_intersection_degree(~model.emptied, x.bits, y.bits))
 
 
 def degree_of_union(model, x, y):
     """Complementary fraction: (|x join y| - |x meet y|) / |x join y|."""
-    return float(_union_degree(model, x, y))
+    model.reduce(x | y)  # TypeError for a non-element, FrameMismatch across frames
+    return float(1 - _intersection_degree(~model.emptied, x.bits, y.bits))
 
 
 def degree_of_inclusion(model, x, y):
@@ -412,31 +427,31 @@ def degree_of_inclusion(model, x, y):
 
 # --- degree-weighted (improved) rules ----------------------------------------
 
-def _normalize_acc(acc, rule, den=1):
-    """The sums divided by their total: the fold's exact int sums over den
-    each rounded once, or the walk's float sums."""
+def _total(acc, rule, den=1):
+    """The sum of acc, refused when it over den is near zero or below."""
     total = sum(acc.values())
     if total / den <= _NEAR_ZERO:
         raise DegenerateNormalization(f"{rule}: every weighted product vanished")
-    return {el: v / total for el, v in acc.items()}
+    return total
 
 
 def dsmc_improved(sources, model=None):
     """Classic conjunctive rule with each product weighted by how much the
     pair actually overlaps, renormalized at the end."""
     model, warnings = _prepare(sources, "dsmc_improved", model, exactly=2)
+    alive = ~model.emptied
 
     def land(pair):
         x, y = pair
-        reduced = model.reduce(x & y).bits
+        reduced = x & y & alive
         if not reduced:
             # Weight 0 except for the all-forbidden corner; either way the
             # classic-with-degrees rule keeps no mass on forbidden elements.
             return None, None, True
-        return reduced, _intersection_degree(model, x, y), False
+        return reduced, _intersection_degree(alive, x, y), False
 
     acc, conflict, _, den = _fold(sources, (*_PAIR, land))
-    acc = _normalize_acc(acc, "dsmc_improved", den)
+    acc = _rounded(model.frame, acc, _total(acc, "dsmc_improved", den))
     return FusionReport("dsmc_improved", model, PreciseMass(model.frame, acc), conflict / den,
                         tuple(warnings))
 
@@ -444,15 +459,16 @@ def dsmc_improved(sources, model=None):
 def disjunctive_improved(sources, model=None):
     """Union rule weighted by how much the pair differs, renormalized."""
     model, warnings = _prepare(sources, "disjunctive_improved", model, exactly=2)
+    alive = ~model.emptied
 
     def land(pair):
         x, y = pair
-        w = _union_degree(model, x, y)
+        w = 1 - _intersection_degree(alive, x, y)
         # pairs that do not differ under the model weigh 0 and add no element
-        return (model.reduce(x | y).bits if w else None), w, False
+        return ((x | y) & alive if w else None), w, False
 
     acc, _, _, den = _fold(sources, (*_PAIR, land))
-    acc = _normalize_acc(acc, "disjunctive_improved", den)
+    acc = _rounded(model.frame, acc, _total(acc, "disjunctive_improved", den))
     return FusionReport("disjunctive_improved", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))
 
@@ -462,20 +478,21 @@ def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
     rerouted mass; the all-forbidden transfer keeps full weight."""
     model, warnings = _prepare(sources, "dsmh_improved", model, exactly=2)
     facts, step, route = _transfer_plan(model, s3_target)
+    alive = ~model.emptied
 
     def land(pair):
         (x, fx), (y, fy) = pair
         key, _, dead = route(step(fx, fy))
         if not dead:
-            w = _intersection_degree(model, x, y)
-        elif model.is_model_empty(x) and model.is_model_empty(y):
+            w = _intersection_degree(alive, x, y)
+        elif not (x | y) & alive:
             w = 1
         else:
-            w = _union_degree(model, x, y)
+            w = 1 - _intersection_degree(alive, x, y)
         return key, w, dead
 
-    acc, conflict, _, den = _fold(sources, (lambda el: (el, facts(el)), lambda a, b: (a, b), land))
-    acc = _normalize_acc(acc, "dsmh_improved", den)
+    acc, conflict, _, den = _fold(sources, (lambda el: (el.bits, facts(el)), _PAIR[1], land))
+    acc = _rounded(model.frame, acc, _total(acc, "dsmh_improved", den))
     return FusionReport("dsmh_improved", model, PreciseMass(model.frame, acc), conflict / den,
                         tuple(warnings))
 
@@ -515,10 +532,11 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
     plan = _transfer_plan(model, s3_target)
     if norm == "algebraic":
         acc, conflict, _, den = _fold(sources, plan)
-        acc, conflict = _rounded(acc, den), conflict / den
+        acc, conflict = _rounded(model.frame, acc, den), conflict / den
     else:
         acc, conflict, _ = _walk(sources, plan, kernel)
-        acc = _normalize_acc(acc, f"tnorm[{norm}]")
+        total = _total(acc, f"tnorm[{norm}]")
+        acc = {el: v / total for el, v in acc.items()}
     return FusionReport(f"tnorm[{norm}]", model, PreciseMass(model.frame, acc), conflict,
                         tuple(warnings))
 
@@ -529,6 +547,7 @@ def tconorm_fusion(conorm, sources, model=None):
     kernel = _kernel(TCONORMS, conorm, "T-conorm")
     model, warnings = _prepare(sources, "tconorm", model, exactly=2)
     acc, _, _ = _walk(sources, _join_plan(model), kernel)
-    acc = _normalize_acc(acc, f"tconorm[{conorm}]")
+    total = _total(acc, f"tconorm[{conorm}]")
+    acc = {el: v / total for el, v in acc.items()}
     return FusionReport(f"tconorm[{conorm}]", model, PreciseMass(model.frame, acc), 0.0,
                         tuple(warnings))

@@ -395,15 +395,16 @@ def from_json_dict(doc):
     task_specs = []
     for t in _json_field(doc, "tasks", list, []):
         t = _json_typed(t, dict, "a JSON task")
-        tokens = []
-        if t.get("compare"):
-            tokens.append("compare")
-        else:
-            # a missing or null rule means the scenario's default rule
-            tokens.append(_json_field(t, "rule", str, None))
+        # a missing or null rule means the scenario's default rule
+        rule = _json_field(t, "rule", str, None)
+        if _json_field(t, "compare", bool, False):
+            if rule is not None:
+                raise ValidationError([f"a JSON compare task takes no rule, got {rule!r}"])
+            rule = "compare"
+        tokens = [rule]
         for k, v in sorted(_json_field(t, "params", dict, {}).items()):
             tokens.append(f"{k}={v}")
-        if t.get("decide"):
+        if _json_field(t, "decide", bool, False):
             tokens.append("decide")
         task_specs.append((tokens, None))
     return _build_scenario(

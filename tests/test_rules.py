@@ -1,9 +1,11 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse.errors import (
@@ -16,13 +18,15 @@ from dsmfuse.errors import (
     ValidationError,
 )
 from dsmfuse.lattice import Frame, Model, enumerate_hyper_power_set, exclusivity
-from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, lift, parse_set
+from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, _MassBase, lift, parse_set
 from dsmfuse.neutro import (
-    NeutrosophicTriple, TripleMass, nconorm, nconorm_fusion, nnorm, nnorm_fusion,
+    NeutrosophicTriple, TripleMass, _PointTriple, nconorm, nconorm_fusion, nnorm, nnorm_fusion,
 )
 from dsmfuse.rules import (
     S3_COMPONENTS,
     _fold,
+    _join_plan,
+    _meet_plan,
     _transfer_plan,
     S3_UNION,
     degree_of_inclusion,
@@ -340,6 +344,21 @@ def test_degrees_on_the_free_model():
         degree_of_inclusion(free, TH1, TH2)
 
 
+@pytest.mark.parametrize("degree", [degree_of_intersection, degree_of_union])
+def test_degrees_refuse_foreign_and_non_element_arguments(degree):
+    free = Model.free(F3)
+    g = Frame(("a", "b", "c"))
+    foreign = g.atom(1)
+    for x, y in ((foreign, TH1), (TH1, foreign), (foreign, foreign)):
+        with pytest.raises(FrameMismatch):
+            degree(free, x, y)
+    for x, y in ((TH1.bits, TH2), (TH1, TH2.bits), ("th1", TH2), (TH1, None)):
+        with pytest.raises(TypeError):
+            degree(free, x, y)
+    # the checks do not change the value
+    assert degree(free, TH1 | TH2, TH2) == degree(Model.free(F3), TH2, TH1 | TH2)
+
+
 def test_degree_sum_is_one():
     rng = random.Random(14)
     from dsmfuse.lattice import enumerate_hyper_power_set
@@ -617,6 +636,77 @@ def test_fold_results_do_not_depend_on_source_or_focal_order(case, rng):
     assert _fold(reordered[::-1], plan) == _fold(sources, plan)
     want = [fold_outcome(call) for call in fold_rule_calls(model, sources)]
     assert [fold_outcome(call) for call in fold_rule_calls(model, shuffled)] == want
+
+
+def components_folded_apart(sources, plan):
+    """Triple sources folded one component at a time, each fold keeping
+    only its nonzero values, and the three merged over the lcm of their
+    denominators: (sums, conflict, dropped mass) as exact Fractions per
+    component, all-zero sums left out."""
+    folds = [_fold([_MassBase(m.frame, {el: v[k] for el, v in m.items()}) for m in sources],
+                   plan) for k in range(3)]
+    den = lcm(*(d for *_, d in folds))
+    sums = {}
+    for k, (acc, _, _, d) in enumerate(folds):
+        for key, n in acc.items():
+            sums.setdefault(key, [0, 0, 0])[k] = n * (den // d)
+    merged = {key: tuple(Fraction(n, den) for n in v) for key, v in sums.items() if any(v)}
+    return (merged, tuple(Fraction(c, d) for _, c, _, d in folds),
+            tuple(Fraction(x, d) for _, _, x, d in folds))
+
+
+def components_folded_together(sources, plan):
+    """The one-pass fold on point triples, in the form of
+    components_folded_apart."""
+    acc, conflict, lost, den = _fold(sources, plan)
+
+    def exact(v):
+        return tuple(Fraction(n, den) for n in (v or (0, 0, 0)))
+
+    return ({key: exact(v) for key, v in acc.items() if any(v)}, exact(conflict), exact(lost))
+
+
+TRIPLE_COMPONENT = st.one_of(st.sampled_from([0.0, 1e-320, 5e-324, 0.1, 0.25, 1.0]),
+                             st.floats(0, 1))
+
+
+@st.composite
+def triple_folds(draw):
+    """(plan, 2-3 point-triple sources) on a free, shafer or hybrid model
+    of 2-3 hypotheses; triples may be all zero or have subnormal
+    components."""
+    model, sources, _ = draw(fold_cases())
+    sources = [_MassBase(m.frame, {el: _PointTriple(draw(st.one_of(
+        st.just((0.0, 0.0, 0.0)), st.tuples(*[TRIPLE_COMPONENT] * 3))))
+        for el, _ in m.items()}) for m in sources[:3]]
+    plan = draw(st.sampled_from([
+        _transfer_plan(model, S3_COMPONENTS), _transfer_plan(model, S3_UNION), _join_plan(model),
+        _meet_plan(model), _meet_plan(model, 0),
+        _meet_plan(model, model.reduce(model.frame.total_ignorance()).bits)]))
+    return plan, sources
+
+
+@settings(max_examples=150, deadline=None)
+@given(triple_folds())
+def test_one_triple_fold_equals_three_component_folds(case):
+    plan, sources = case
+    assert components_folded_together(sources, plan) == components_folded_apart(sources, plan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_cases())
+def test_meet_rules_report_the_same_exact_conflict(case):
+    model, sources, _ = case
+    assume(not model.is_degenerate())
+    open_world = smets(model, sources)
+    if open_world.conflict > 0:
+        assert open_world.mass_of(model.frame.empty()) == open_world.conflict
+    assert yager(model, sources).conflict == open_world.conflict
+    try:
+        closed = dempster(model, sources)
+    except TotalConflict:
+        return
+    assert closed.conflict == open_world.conflict
 
 
 # --- argument checking -------------------------------------------------------------------

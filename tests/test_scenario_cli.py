@@ -1034,6 +1034,42 @@ def test_json_task_without_a_rule_uses_the_default_rule(tmp_path, capsys):
     assert "task: nnorm decide" in emit_scenario(load_scenario(str(doc)))
 
 
+@pytest.mark.parametrize("task,needle", [
+    ({"compare": "yes"}, "JSON field 'compare' must be a boolean, got a string"),
+    ({"compare": 1}, "JSON field 'compare' must be a boolean, got a number"),
+    ({"rule": "dempster", "decide": "yes please"},
+     "JSON field 'decide' must be a boolean, got a string"),
+    ({"rule": "dempster", "decide": 1}, "JSON field 'decide' must be a boolean, got a number"),
+    ({"rule": "dempster", "compare": True}, "a JSON compare task takes no rule, got 'dempster'"),
+    ({"compare": True, "rule": "compare"}, "a JSON compare task takes no rule, got 'compare'"),
+], ids=["compare_string", "compare_number", "decide_string", "decide_number",
+        "compare_with_rule", "compare_with_compare_rule"])
+def test_json_task_flags_must_be_booleans_and_compare_takes_no_rule(task, needle, tmp_path,
+                                                                    capsys):
+    two = [{"mass": {"a": 1.0}}, {"mass": {"a": 1.0}}]
+    doc = {"frame": ["a", "b"], "sources": two, "tasks": [task]}
+    with pytest.raises(ValidationError, match=re.escape(needle)):
+        from_json_dict(doc)
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["fuse", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+def test_json_task_flags_read_as_booleans(tmp_path, capsys):
+    two = [{"mass": {"a": 0.5, "b": 0.5}}, {"mass": {"a": 1.0}}]
+    plain = from_json_dict({"frame": ["a", "b"], "sources": two, "tasks": [{"rule": "dempster"}]})
+    for flags in ({"compare": False, "decide": False}, {"compare": None, "decide": None}):
+        doc = {"frame": ["a", "b"], "sources": two, "tasks": [dict(flags, rule="dempster")]}
+        assert from_json_dict(doc) == plain
+    both = from_json_dict({"frame": ["a", "b"], "sources": two,
+                           "tasks": [{"compare": True, "rule": None, "decide": True}]})
+    assert both.tasks == (Task("compare", None, (), True),)
+
+
 def test_lattice_listings(capsys):
     assert cli.main(["lattice", "--n", "3"]) == 0
     out = capsys.readouterr().out

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
-from operator import and_, mul, or_
+from operator import add, and_, mul, or_
 
 import pytest
 from hypothesis import given, settings
@@ -67,16 +67,35 @@ def tuple_walk(sources, plan, kernel=mul, zero=0.0, convert=None):
     return {LatticeElement(frame, k): x for k, x in acc.items()}, conflict, lost
 
 
+class Components(tuple):
+    """Numbers added and multiplied component by component."""
+
+    def __add__(self, other):
+        return Components(map(add, self, other))
+
+    def __mul__(self, other):
+        return Components(map(mul, self, other))
+
+
 def fraction_walk(sources, plan):
     """The tuple walk in exact Fractions, handed back as the fold hands its
-    sums back: ints over one denominator."""
-    acc, conflict, lost = tuple_walk(sources, plan, zero=Fraction(0), convert=Fraction)
-    den = lcm(*(x.denominator for x in (*acc.values(), conflict, lost)))
+    sums back: ints on int keys over one denominator. A triple value is
+    summed component by component, all three over that one denominator."""
+    if isinstance(sources[0].items()[0][1], tuple):
+        zero, convert = Components((Fraction(0),) * 3), lambda v: Components(map(Fraction, v))
+    else:
+        zero, convert = Fraction(0), Fraction
+    acc, conflict, lost = tuple_walk(sources, plan, zero=zero, convert=convert)
+    sums = (*acc.values(), conflict, lost)
+    den = lcm(*(x.denominator for x in itertools.chain(*(
+        s if isinstance(s, tuple) else (s,) for s in sums))))
 
     def exact(x):
+        if isinstance(x, tuple):
+            return Components(map(exact, x))
         return x.numerator * (den // x.denominator)
 
-    return {el: exact(x) for el, x in acc.items()}, exact(conflict), exact(lost), den
+    return {el.bits: exact(x) for el, x in acc.items()}, exact(conflict), exact(lost), den
 
 
 def on_tuples(land):
@@ -104,10 +123,10 @@ def route(model, s3_target):
     return on_tuples(land)
 
 
-def meet(model):
+def meet(model, dead=None):
     def land(els):
         key = model.reduce(reduce(and_, els))
-        return (key.bits, None, False) if key.bits else (None, None, True)
+        return (key.bits, None, False) if key.bits else (dead, None, True)
 
     return on_tuples(land)
 
