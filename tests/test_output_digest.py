@@ -50,3 +50,14 @@ def test_wide_lattice_outputs_are_pinned():
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
     assert out == ("runs 29\n"
                    "sha256 9129fcd717dffd642e891f4d40ee85d2b638eb5dce99b65db55f62ae0321f9c8\n")
+
+
+def test_precise_fold_outputs_are_pinned():
+    # Every request of the conj_many_sources pool on seed 1: the precise
+    # rules' exact folds, each sum rounded once, must keep these bytes; a
+    # change to the generator in perfbench/workloads.py must re-pin the two
+    # values.
+    argv = [sys.executable, TOOL, "--workload", "conj_many_sources", "--seeds", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    assert out == ("runs 432\n"
+                   "sha256 c977bf2dee770ca07b1bf47e05ed45f8f9d4eb0fcce8f27b5f7ded8cfae35826\n")
