@@ -279,12 +279,17 @@ class LatticeElement:
 _set_frame, _set_bits = LatticeElement.frame.__set__, LatticeElement.bits.__set__  # skip the guard
 
 
+def _component_union(n, bits):
+    """Union of every hypothesis a minimal part of bits names: 0 for 0."""
+    minimal = _minimal(n, bits)
+    return reduce(or_, [a for a in _atoms(n) if minimal & a], 0)
+
+
 def component_union(x):
     """Union of every hypothesis appearing in x's canonical form."""
     if x.bits == 0:
         raise EmptyArgument("component union undefined on the empty element")
-    minimal = _minimal(x.frame.n, x.bits)
-    return LatticeElement(x.frame, reduce(or_, [a for a in _atoms(x.frame.n) if minimal & a], 0))
+    return LatticeElement(x.frame, _component_union(x.frame.n, x.bits))
 
 
 def upward_closure(x):

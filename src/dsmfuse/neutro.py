@@ -207,23 +207,22 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
               for m in sources]
     if name == "nnorm[algebraic]":
         acc, conflict, _, den = _fold(points, plan(model))
-        acc = {LatticeElement(model.frame, k): v for k, v in acc.items()}
-        conflict = conflict[0] / den if conflict else 0.0
     else:
         # Exactly two sources, so the kernel always meets two source triples.
-        acc, conflict, _ = _walk(points, plan(model),
-                                 lambda a, b: _PointTriple(map(kernel, a, b)), _ZERO)
-        conflict, den = conflict[0], 1.0
-    point = SubunitarySet.point
+        acc, conflict, _, den = _walk(points, plan(model),
+                                      lambda a, b: _PointTriple(map(kernel, a, b)), _ZERO)
+    frame, point = model.frame, SubunitarySet.point
     out = {}
-    for el, (t, i, f) in acc.items():
+    for k, (t, i, f) in acc.items():
         s = t + i + f
         if s == 0:
             continue
         if not normalize:
-            s = den  # the raw sums, over the fold's den or the walk's 1.0
-        out[el] = NeutrosophicTriple(point(t / s), point(i / s), point(f / s))
-    return FusionReport(name, model, TripleMass(model.frame, out), conflict)
+            s = den  # the raw sums, over the fold's den or the walk's 1
+        out[LatticeElement(frame, k)] = NeutrosophicTriple(point(t / s), point(i / s), point(f / s))
+    # the fold's conflict is the int 0 when no tuple is dead
+    return FusionReport(name, model, TripleMass(frame, out),
+                        conflict[0] / den if conflict else 0.0)
 
 
 def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=True):

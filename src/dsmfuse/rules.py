@@ -8,14 +8,16 @@ landing needs of one focal element; `step(state, fact)` folds it into a
 prefix's state (a one-item prefix's state is its fact); `land(state)` maps
 a tuple's final state to `(key, weight, dead)`. The value (times `weight`
 unless None) is added on the int bits `key`, or handed back as dropped when
-`key` is None, and counts as conflict when `dead`. Facts and states are
-built from ints (bitsets, tuples and frozensets of them, or None), never
-from elements, so the fold's dicts hash them at C speed. The plans:
+`key` is None, and counts as conflict when `dead`. Facts, states and
+keys are ints (bitsets, tuples of them, or None): no plan builds an
+element, so the loops' dicts hash them at C speed. The plans:
 
-- transfer: a live intersection keeps its mass; a forbidden one goes to
-  the union of the hypotheses involved or, when every component is itself
-  forbidden, to the union of their component hypotheses, falling back to
-  total ignorance. On the free lattice this is the classic rule;
+- transfer: a live intersection keeps its mass (the hybrid rule's S1); a
+  forbidden one goes to the union of the hypotheses involved (S3) or, when
+  every component is itself forbidden, to the union of their component
+  hypotheses (S2), falling back to total ignorance. The empty element,
+  which may carry a speck of mass, is forbidden and names no hypothesis.
+  On the free lattice this is the classic rule;
 - meet: a forbidden intersection is conflict and lands on the plan's dead
   target: nowhere for dempster, which normalizes it away, the empty
   element (0) for smets and total ignorance for yager;
@@ -33,12 +35,12 @@ componentwise, so one fold carries all three components. Each source's
 values are scaled exactly onto ints over one power of two, so every
 product and sum is an exact int; the fold combines one source at a time
 over the distinct states and lands each final state once, on int keys.
-`_rounded` turns those keys into elements; each fused mass, conflict and
-dropped mass is rounded once, by int true division, which rounds
-correctly. So the results are the exact sums rounded once, the same
-whatever the order of the sources and of the focal items, and the cost
-grows with the distinct states, not with the tuples. Degree weights
-are exact ratios of cardinalities, and normalizations divide exact sums.
+Each fused mass, conflict and dropped mass is rounded once, by int true
+division, which rounds correctly. So the results are the exact sums
+rounded once, the same whatever the order of the sources and of the
+focal items, and the cost grows with the distinct states, not with the
+tuples. Degree weights are exact ratios of cardinalities, and
+normalizations divide exact sums.
 Dempster divides each alive sum by the exact alive total, not by 1 - k12:
 the two differ when the inputs do not sum to exactly 1 in binary, and only
 the first gives a lone surviving element exactly 1. Dempster refuses
@@ -55,9 +57,15 @@ lexicographic tuple order. A value only needs + and the kernel: floats,
 subunitary sets and neutro's point triples all qualify. Imprecise sources
 whose every value is a point take the fold and come back as point sets, so
 they reproduce the precise rules bit for bit.
+
+Both loops hand back the same result: sums on int keys, the conflict and
+the dropped mass, each standing for itself over a denominator (1 for the
+walk). `_report` is where they become elements and a precise rule's
+report, each sum divided once; set-valued sums and neutro's triples take
+their elements from the same int keys.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import and_, attrgetter, mul, or_
@@ -70,7 +78,7 @@ from .errors import (
     TotalConflict,
     ValidationError,
 )
-from .lattice import LatticeElement, Model, component_union, upward_closure
+from .lattice import LatticeElement, Model, _close_up, _component_union
 from .mass import ImpreciseMass, PreciseMass, SubunitarySet, is_admissible, lift
 
 _NEAR_ZERO = 1e-12
@@ -136,7 +144,8 @@ def _focal_items(m):
 def _walk(sources, plan, kernel=mul, zero=0.0):
     """Sum every focal tuple's value on its landing site, source by source.
 
-    Returns (sums per element, conflict, mass dropped on key None).
+    Returns what _fold returns, over den 1: (sums per int key, conflict,
+    mass dropped on key None, 1).
     """
     facts, step, land = plan
     first, *middle, last = [[(facts(el), v) for el, v in _focal_items(m)] for m in sources]
@@ -167,7 +176,7 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
                 lost = lost + value
             else:
                 acc[key] = acc.get(key, zero) + value
-    return {LatticeElement(sources[0].frame, k): v for k, v in acc.items()}, conflict, lost
+    return acc, conflict, lost, 1
 
 
 def _fold(sources, plan):
@@ -190,7 +199,7 @@ def _fold(sources, plan):
     facts, step, land = plan
     states, shift = None, 0
     for m in sources:
-        ratios = [(facts(el), *v.as_integer_ratio()) for el, v in m.items() if v != 0.0]
+        ratios = [(facts(el), *v.as_integer_ratio()) for el, v in _focal_items(m)]
         top = max([d for _, _, d in ratios], default=1).bit_length()
         shift += top - 1
         items = [(fact, n << (top - d.bit_length())) for fact, n, d in ratios]
@@ -221,11 +230,16 @@ def _fold(sources, plan):
     return acc, conflict, lost, scale << shift
 
 
-def _rounded(frame, acc, den):
-    """The fold's sums as floats on elements: each int key becomes an
-    element of frame, and each exact sum over den is rounded once (int true
-    division rounds correctly)."""
-    return {LatticeElement(frame, k): n / den for k, n in acc.items()}
+def _report(rule, model, warnings, sums, total=None, allows_empty_focal=False):
+    """The report of a loop's (sums, conflict, lost, den): each int key
+    becomes an element, its sum divided by total (den unless given), and
+    the conflict is divided by den. On the fold's ints this is int true
+    division, so every result is its exact sum rounded once."""
+    acc, conflict, _, den = sums
+    frame, total = model.frame, den if total is None else total
+    mass = PreciseMass(frame, {LatticeElement(frame, k): v / total for k, v in acc.items()},
+                       allows_empty_focal)
+    return FusionReport(rule, model, mass, conflict / den, tuple(warnings))
 
 
 # --- plans -------------------------------------------------------------------------
@@ -235,34 +249,35 @@ _PAIR = (attrgetter("bits"), lambda x, y: (x, y))
 
 
 def _transfer_plan(model, s3_target):
-    """The state is the raw meet, the forbidden bitsets while every one is
-    forbidden (else None), and what the s3 target reads: the meet of the
-    upward closures for components, the join for union."""
-    frame, alive = model.frame, ~model.emptied
-    it = model.reduce(frame.total_ignorance()).bits
+    """The state is the raw meet, the OR of the focal elements' component
+    unions while every one is forbidden (else None), and what the s3 target
+    reads: the meet of the upward closures for components, the join for
+    union."""
+    n, alive = model.frame.n, ~model.emptied
+    it = model.reduce(model.frame.total_ignorance()).bits
     components = s3_target == S3_COMPONENTS
     fold = and_ if components else or_
 
     def facts(el):
-        forbidden = None if el.bits & alive else frozenset((el.bits,))
-        return el.bits, forbidden, upward_closure(el).bits if components else el.bits
+        bits = el.bits
+        forbidden = None if bits & alive else _component_union(n, bits)
+        return bits, forbidden, _close_up(n, bits) if components else bits
 
     def step(a, b):
-        return a[0] & b[0], a[1] and b[1] and a[1] | b[1], fold(a[2], b[2])
+        forbidden = None if a[1] is None or b[1] is None else a[1] | b[1]
+        return a[0] & b[0], forbidden, fold(a[2], b[2])
 
     def land(state):
         meet, forbidden, target = state
         if meet & alive:
             return meet & alive, None, False
-        if forbidden:
-            target = 0
-            for bits in forbidden:
-                target |= component_union(LatticeElement(frame, bits)).bits
+        if forbidden is not None:
+            target = forbidden
         elif components:
             # Focal elements keyed by reduced representatives have lost their
             # dead parts, so the raw meet can bottom out even though the free
             # meet never does; the canonical form needs the free meet.
-            target = component_union(LatticeElement(frame, meet or target)).bits
+            target = _component_union(n, meet or target)
         return (target & alive or it), None, True
 
     return facts, step, land
@@ -284,7 +299,8 @@ def _join_plan(model):
 # --- classic and transfer rules ----------------------------------------------
 
 def dsm_classic(sources):
-    """Conjunctive consensus on the free lattice; never any conflict.
+    """Conjunctive consensus on the free lattice; no conflict but the products
+    of a speck of mass on the empty element, which land on total ignorance.
     Sources are all precise or all imprecise."""
     return _dsm_rule("dsm_classic", None, sources, S3_COMPONENTS)
 
@@ -309,40 +325,34 @@ def _dsm_rule(rule, model, sources, s3_target):
     model, warnings = _prepare(sources, rule, model, wanted)
     plan = _transfer_plan(model, s3_target)
     if imprecise and not all(s.is_point for m in sources for _, s in m.items()):
-        acc, conflict, _ = _walk(sources, plan, zero=SubunitarySet.point(0.0))
-        return FusionReport(rule, model, ImpreciseMass(model.frame, acc), conflict,
+        acc, conflict, _, _ = _walk(sources, plan, zero=SubunitarySet.point(0.0))
+        mass = {LatticeElement(model.frame, k): v for k, v in acc.items()}
+        return FusionReport(rule, model, ImpreciseMass(model.frame, mass), conflict,
                             tuple(warnings))
-    if imprecise:
-        # Every value is a point: fold the points and lift the result back.
-        sources = [PreciseMass(m.frame, {el: s.as_point() for el, s in m.items()})
-                   for m in sources]
-    acc, conflict, _, den = _fold(sources, plan)
-    mass, conflict = PreciseMass(model.frame, _rounded(model.frame, acc, den)), conflict / den
-    if imprecise:
-        mass, conflict = lift(mass), SubunitarySet.point(conflict)
-    return FusionReport(rule, model, mass, conflict, tuple(warnings))
+    if not imprecise:
+        return _report(rule, model, warnings, _fold(sources, plan))
+    # Every value is a point: fold the points and lift the result back.
+    points = [PreciseMass(m.frame, {el: s.as_point() for el, s in m.items()}) for m in sources]
+    report = _report(rule, model, warnings, _fold(points, plan))
+    return replace(report, mass=lift(report.mass), conflict=SubunitarySet.point(report.conflict))
 
 
 def dempster(model, sources):
     """Conjunctive consensus, each alive sum divided by the alive total."""
     model, warnings = _prepare(sources, "dempster", model)
-    alive, dead, _, den = _fold(sources, _meet_plan(model))
+    sums = alive, dead, _, den = _fold(sources, _meet_plan(model))
     total = sum(alive.values())
     if total / den <= _NEAR_ZERO:
         raise TotalConflict(f"sources are fully conflicting (k12={dead / den})")
-    return FusionReport("dempster", model,
-                        PreciseMass(model.frame, _rounded(model.frame, alive, total)),
-                        dead / den, tuple(warnings))
+    return _report("dempster", model, warnings, sums, total)
 
 
 def smets(model, sources):
     """Conjunctive consensus with the conflicting mass kept on the empty
     element (open-world reading)."""
     model, warnings = _prepare(sources, "smets", model)
-    acc, dead, _, den = _fold(sources, _meet_plan(model, 0))
-    return FusionReport("smets", model, PreciseMass(model.frame, _rounded(model.frame, acc, den),
-                                                    allows_empty_focal=True),
-                        dead / den, tuple(warnings))
+    return _report("smets", model, warnings, _fold(sources, _meet_plan(model, 0)),
+                   allows_empty_focal=True)
 
 
 def yager(model, sources):
@@ -350,9 +360,7 @@ def yager(model, sources):
     ignorance."""
     model, warnings = _prepare(sources, "yager", model)
     it = model.reduce(model.frame.total_ignorance()).bits
-    acc, dead, _, den = _fold(sources, _meet_plan(model, it))
-    return FusionReport("yager", model, PreciseMass(model.frame, _rounded(model.frame, acc, den)),
-                        dead / den, tuple(warnings))
+    return _report("yager", model, warnings, _fold(sources, _meet_plan(model, it)))
 
 
 def dubois_prade(model, sources):
@@ -370,26 +378,21 @@ def dubois_prade(model, sources):
             return key, None, False
         return ((x | y) & alive or None), None, True
 
-    acc, dead, lost, den = _fold(sources, (*_PAIR, land))
+    sums = _, _, lost, den = _fold(sources, (*_PAIR, land))
     if lost > 0:
         lost /= den
         warnings.append(
             f"mass {lost:.6f} fell on forbidden unions; output is subnormal"
             f" (total {1.0 - lost:.6f})"
         )
-    return FusionReport("dubois_prade", model,
-                        PreciseMass(model.frame, _rounded(model.frame, acc, den)),
-                        dead / den, tuple(warnings))
+    return _report("dubois_prade", model, warnings, sums)
 
 
 def disjunctive(sources, model=None):
     """Union consensus: each tuple's mass lands on the join of its focal
     elements."""
     model, warnings = _prepare(sources, "disjunctive", model)
-    acc, _, _, den = _fold(sources, _join_plan(model))
-    return FusionReport("disjunctive", model,
-                        PreciseMass(model.frame, _rounded(model.frame, acc, den)), 0.0,
-                        tuple(warnings))
+    return _report("disjunctive", model, warnings, _fold(sources, _join_plan(model)))
 
 
 # --- similarity degrees --------------------------------------------------------
@@ -427,8 +430,10 @@ def degree_of_inclusion(model, x, y):
 
 # --- degree-weighted (improved) rules ----------------------------------------
 
-def _total(acc, rule, den=1):
-    """The sum of acc, refused when it over den is near zero or below."""
+def _total(sums, rule):
+    """The total of a loop's sums, refused when it over their den is near
+    zero or below."""
+    acc, _, _, den = sums
     total = sum(acc.values())
     if total / den <= _NEAR_ZERO:
         raise DegenerateNormalization(f"{rule}: every weighted product vanished")
@@ -450,10 +455,8 @@ def dsmc_improved(sources, model=None):
             return None, None, True
         return reduced, _intersection_degree(alive, x, y), False
 
-    acc, conflict, _, den = _fold(sources, (*_PAIR, land))
-    acc = _rounded(model.frame, acc, _total(acc, "dsmc_improved", den))
-    return FusionReport("dsmc_improved", model, PreciseMass(model.frame, acc), conflict / den,
-                        tuple(warnings))
+    sums = _fold(sources, (*_PAIR, land))
+    return _report("dsmc_improved", model, warnings, sums, _total(sums, "dsmc_improved"))
 
 
 def disjunctive_improved(sources, model=None):
@@ -467,10 +470,9 @@ def disjunctive_improved(sources, model=None):
         # pairs that do not differ under the model weigh 0 and add no element
         return ((x | y) & alive if w else None), w, False
 
-    acc, _, _, den = _fold(sources, (*_PAIR, land))
-    acc = _rounded(model.frame, acc, _total(acc, "disjunctive_improved", den))
-    return FusionReport("disjunctive_improved", model, PreciseMass(model.frame, acc), 0.0,
-                        tuple(warnings))
+    sums = _fold(sources, (*_PAIR, land))
+    return _report("disjunctive_improved", model, warnings, sums,
+                   _total(sums, "disjunctive_improved"))
 
 
 def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
@@ -491,10 +493,8 @@ def dsmh_improved(model, sources, s3_target=S3_COMPONENTS):
             w = 1 - _intersection_degree(alive, x, y)
         return key, w, dead
 
-    acc, conflict, _, den = _fold(sources, (lambda el: (el.bits, facts(el)), _PAIR[1], land))
-    acc = _rounded(model.frame, acc, _total(acc, "dsmh_improved", den))
-    return FusionReport("dsmh_improved", model, PreciseMass(model.frame, acc), conflict / den,
-                        tuple(warnings))
+    sums = _fold(sources, (lambda el: (el.bits, facts(el)), _PAIR[1], land))
+    return _report("dsmh_improved", model, warnings, sums, _total(sums, "dsmh_improved"))
 
 
 # --- T-norm / T-conorm substitutes ---------------------------------------------
@@ -529,16 +529,11 @@ def tnorm_fusion(norm, sources, model=None, s3_target=S3_COMPONENTS):
     """
     kernel = _kernel(TNORMS, norm, "T-norm")
     model, warnings = _prepare(sources, "tnorm", model, exactly=2)
-    plan = _transfer_plan(model, s3_target)
+    rule, plan = f"tnorm[{norm}]", _transfer_plan(model, s3_target)
     if norm == "algebraic":
-        acc, conflict, _, den = _fold(sources, plan)
-        acc, conflict = _rounded(model.frame, acc, den), conflict / den
-    else:
-        acc, conflict, _ = _walk(sources, plan, kernel)
-        total = _total(acc, f"tnorm[{norm}]")
-        acc = {el: v / total for el, v in acc.items()}
-    return FusionReport(f"tnorm[{norm}]", model, PreciseMass(model.frame, acc), conflict,
-                        tuple(warnings))
+        return _report(rule, model, warnings, _fold(sources, plan))
+    sums = _walk(sources, plan, kernel)
+    return _report(rule, model, warnings, sums, _total(sums, rule))
 
 
 def tconorm_fusion(conorm, sources, model=None):
@@ -546,8 +541,5 @@ def tconorm_fusion(conorm, sources, model=None):
     variant is normalized since the summed values overshoot 1."""
     kernel = _kernel(TCONORMS, conorm, "T-conorm")
     model, warnings = _prepare(sources, "tconorm", model, exactly=2)
-    acc, _, _ = _walk(sources, _join_plan(model), kernel)
-    total = _total(acc, f"tconorm[{conorm}]")
-    acc = {el: v / total for el, v in acc.items()}
-    return FusionReport(f"tconorm[{conorm}]", model, PreciseMass(model.frame, acc), 0.0,
-                        tuple(warnings))
+    sums = _walk(sources, _join_plan(model), kernel)
+    return _report(f"tconorm[{conorm}]", model, warnings, sums, _total(sums, f"tconorm[{conorm}]"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dsmfuse import neutro
 from dsmfuse.errors import FewerThanTwoSources, ValidationError, ZeroSum
-from dsmfuse.lattice import Frame, Model, enumerate_hyper_power_set, exclusivity
+from dsmfuse.lattice import Frame, LatticeElement, Model, enumerate_hyper_power_set, exclusivity
 from dsmfuse.mass import PreciseMass, SubunitarySet, parse_set
 from dsmfuse.neutro import (
     _ZERO,
@@ -264,17 +264,17 @@ def ref_fuse_triples(rule, name, kernel, sources, model, plan, normalize):
         def kernel(x, y):
             return Fraction(x) * Fraction(y)
     # Exactly two sources, so the kernel always meets two source triples.
-    acc, conflict, _ = _walk(
+    acc, conflict, _, _ = _walk(
         sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), zero
     )
     out = {}
-    for el, (t, i, f) in acc.items():
+    for k, (t, i, f) in acc.items():
         s = t + i + f
         if s == 0.0:
             continue
         if normalize:
             t, i, f = t / s, i / s, f / s
-        out[el] = NeutrosophicTriple.of(t, i, f)
+        out[LatticeElement(model.frame, k)] = NeutrosophicTriple.of(t, i, f)
     return FusionReport(name, model, TripleMass(model.frame, out), float(conflict[0]))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dsmfuse import rules
 from dsmfuse.errors import (
     DegenerateModel,
     DegenerateNormalization,
@@ -17,7 +18,7 @@ from dsmfuse.errors import (
     TotalConflict,
     ValidationError,
 )
-from dsmfuse.lattice import Frame, Model, enumerate_hyper_power_set, exclusivity
+from dsmfuse.lattice import Frame, LatticeElement, Model, enumerate_hyper_power_set, exclusivity
 from dsmfuse.mass import ImpreciseMass, PreciseMass, SubunitarySet, _MassBase, lift, parse_set
 from dsmfuse.neutro import (
     NeutrosophicTriple, TripleMass, _PointTriple, nconorm, nconorm_fusion, nnorm, nnorm_fusion,
@@ -237,6 +238,76 @@ def test_vacuous_source_is_neutral_for_hybrid():
         r = dsm_hybrid(model, [m, PreciseMass.vacuous(F3)])
         for el, v in m.items():
             assert r.mass_of(el) == pytest.approx(v, abs=1e-9)
+
+
+SPECK = 1e-10
+
+
+@pytest.mark.parametrize("fuse, conflict", [
+    (dsm_classic, SPECK),
+    (lambda s: dsm_hybrid(Model.free(F3), s), SPECK),
+    (lambda s: dsm_hybrid(Model.shafer(F3), s), 0.5),
+    (lambda s: dsmh_improved(Model.shafer(F3), s), 0.5),
+    (lambda s: tnorm_fusion("min", s), SPECK),
+])
+def test_a_speck_on_the_empty_element_lands_on_total_ignorance(fuse, conflict):
+    # Validation tolerates a speck of mass on the empty element, which meets
+    # everything in itself and names no hypothesis: its products take the
+    # hybrid rule's fallback, total ignorance, and count as conflict.
+    sources = [PreciseMass(F3, {F3.empty(): SPECK, TH1: 0.5, TH1 & TH2: 0.5 - SPECK}),
+               PreciseMass(F3, {TH1: 1.0})]
+    r = fuse(sources)
+    assert r.mass_of(TH1 | TH2 | TH3) == pytest.approx(SPECK, rel=1e-6)
+    assert r.conflict == pytest.approx(conflict, rel=1e-6)
+    assert sum(v for _, v in r.mass.items()) == pytest.approx(1.0)
+
+
+def test_a_speck_on_the_empty_element_fuses_on_two_hypotheses():
+    f = Frame(("a", "b"))
+    a, b = f.atom(1), f.atom(2)
+    sources = [PreciseMass(f, {f.empty(): SPECK, a & b: 0.5, a: 0.5 - SPECK}),
+               PreciseMass(f, {a & b: 1.0})]
+    r = dsm_classic(sources)
+    assert r.mass_of(a & b) == pytest.approx(1.0)
+    assert r.mass_of(a | b) == SPECK == r.conflict
+    # under shafer a&b is forbidden too, and every product lands on a|b
+    assert dsm_hybrid(Model.shafer(f), sources).mass_of(a | b) == pytest.approx(1.0)
+
+
+def test_the_loops_build_no_element(monkeypatch):
+    """Facts, states, landing keys and sums stay ints inside _fold and
+    _walk; elements are built only when the report is finished."""
+    built, running = [], []
+    init = LatticeElement.__init__
+
+    def counting_init(self, frame, bits):
+        if running:
+            built.append(bits)
+        init(self, frame, bits)
+
+    def watched(loop):
+        def run(*args, **kwargs):
+            running.append(loop)
+            try:
+                return loop(*args, **kwargs)
+            finally:
+                running.pop()
+        return run
+
+    monkeypatch.setattr(LatticeElement, "__init__", counting_init)
+    monkeypatch.setattr(rules, "_fold", watched(rules._fold))
+    monkeypatch.setattr(rules, "_walk", watched(rules._walk))
+    model = Model.hybrid(F3, [exclusivity(F3, 1, 2), exclusivity(F3, 2, 3)])
+    # live (S1), partly forbidden (S3) and all-forbidden (S2) meets
+    sources = [PreciseMass(F3, {TH1: 0.3, TH1 & TH2: 0.2, TH2 | TH3: 0.5}),
+               PreciseMass(F3, {TH2: 0.6, TH2 & TH3: 0.1, TH1 | TH3: 0.3})]
+    for s3 in (S3_COMPONENTS, S3_UNION):
+        dsm_hybrid(model, sources, s3)
+    dsmh_improved(model, sources)
+    tnorm_fusion("min", sources, model)
+    dempster(model, sources)
+    tconorm_fusion("max", sources, model)
+    assert built == []
 
 
 # --- the classical alternatives ----------------------------------------------------

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from dsmfuse import neutro, rules
 from dsmfuse.lattice import (
     Frame,
-    LatticeElement,
     Model,
     component_union,
     enumerate_hyper_power_set,
@@ -44,7 +43,8 @@ def focal_items(m):
 
 def tuple_walk(sources, plan, kernel=mul, zero=0.0, convert=None):
     """Each tuple on its own: fold its facts and values (each value first
-    converted, when convert is given), land it."""
+    converted, when convert is given), land it. Handed back as the walk
+    hands its sums back: on int keys, over the denominator 1."""
     facts, step, land = plan
     acc = {}
     conflict = lost = zero
@@ -63,8 +63,7 @@ def tuple_walk(sources, plan, kernel=mul, zero=0.0, convert=None):
             lost = lost + value
         else:
             acc[key] = acc.get(key, zero) + value
-    frame = sources[0].frame
-    return {LatticeElement(frame, k): x for k, x in acc.items()}, conflict, lost
+    return acc, conflict, lost, 1
 
 
 class Components(tuple):
@@ -85,7 +84,7 @@ def fraction_walk(sources, plan):
         zero, convert = Components((Fraction(0),) * 3), lambda v: Components(map(Fraction, v))
     else:
         zero, convert = Fraction(0), Fraction
-    acc, conflict, lost = tuple_walk(sources, plan, zero=zero, convert=convert)
+    acc, conflict, lost, _ = tuple_walk(sources, plan, zero=zero, convert=convert)
     sums = (*acc.values(), conflict, lost)
     den = lcm(*(x.denominator for x in itertools.chain(*(
         s if isinstance(s, tuple) else (s,) for s in sums))))
@@ -95,12 +94,17 @@ def fraction_walk(sources, plan):
             return Components(map(exact, x))
         return x.numerator * (den // x.denominator)
 
-    return {el.bits: exact(x) for el, x in acc.items()}, exact(conflict), exact(lost), den
+    return {k: exact(x) for k, x in acc.items()}, exact(conflict), exact(lost), den
 
 
 def on_tuples(land):
     """A plan whose state is the tuple of focal elements itself."""
     return (lambda el: (el,)), (lambda a, b: a + b), land
+
+
+def names(x):
+    """The union of the hypotheses x names: none for the empty element."""
+    return component_union(x) if x.bits else x
 
 
 def route(model, s3_target):
@@ -113,9 +117,9 @@ def route(model, s3_target):
         if inter.bits == 0:
             inter = reduce(and_, [upward_closure(e) for e in els])
         if all(model.is_model_empty(e) for e in els):
-            target = model.reduce(reduce(or_, [component_union(e) for e in els]))
+            target = model.reduce(reduce(or_, [names(e) for e in els]))
         elif s3_target == rules.S3_COMPONENTS:
-            target = model.reduce(component_union(inter))
+            target = model.reduce(names(inter))
         else:
             target = model.reduce(reduce(or_, els))
         return (target if target.bits else it).bits, None, True
@@ -155,7 +159,8 @@ def pool(n):
 def fusions(draw):
     """(model, sources): precise, lifted, set-valued or triple sources on a
     free, shafer or hybrid model; focal elements may be reduced keys, and a
-    precise source may carry a speck of mass on the empty element."""
+    precise or lifted source may carry a speck of mass on the empty
+    element."""
     els = pool(draw(st.integers(2, 4)))
     frame = els[0].frame
     kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
@@ -180,7 +185,7 @@ def fusions(draw):
                 *draw(st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])] * 3)))
                 for e in focal}))
             continue
-        if values == "precise" and draw(st.integers(0, 9)) == 0:
+        if values in ("precise", "lifted") and draw(st.integers(0, 9)) == 0:
             masses[frame.empty()] = 1e-10
         m = PreciseMass(frame, masses)
         if values == "lifted":
