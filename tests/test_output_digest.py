@@ -61,3 +61,15 @@ def test_precise_fold_outputs_are_pinned():
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
     assert out == ("runs 432\n"
                    "sha256 c977bf2dee770ca07b1bf47e05ed45f8f9d4eb0fcce8f27b5f7ded8cfae35826\n")
+
+
+def test_cli_golden_outputs_are_pinned():
+    # Every request of the cli_golden pool on seed 1, the bundled scenarios'
+    # fuse requests also at --precision 6 as JSON and as a table: the goldens
+    # pin only the default precision, so these bytes gate the report and
+    # listing writers at a fixed precision too. A change to the generator in
+    # perfbench/workloads.py must re-pin the two values.
+    argv = [sys.executable, TOOL, "--workload", "cli_golden", "--seeds", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    assert out == ("runs 32\n"
+                   "sha256 83a66d1520298a7ac3d731626372665cf0ff4adf474c3d795a2b38d279ffaff5\n")
