@@ -8,9 +8,10 @@ elements are reduced once per table, and each query sums over the reduced
 The pignistic transform GPT(A) = sum over focal X of m(X) |X meet A| / |X|
 counts cardinalities in alive parts, so it is the sum over A's parts p of
 the part density q(p) = sum over focal X holding p of m(X) / |X|. q is
-exact: each m(X) is an int over its power of two (as_integer_ratio),
-shifted up to the largest power, times the lcm of the focal cardinalities
-over |X|, so every term is an int over one shared denominator. One
+exact: the masses become ints over one common denominator (the lcm of
+their as_integer_ratio denominators, so Fractions spread exactly), each
+times the lcm of the focal cardinalities over |X|, so every term is an
+int over one shared denominator. One
 256-entry table of sums of q per byte of a part bitset, summed over the
 model's alive bitsets by byte column (lattice._column_fold, the renderer's
 pass), gives each element's exact numerator, divided once by int true
@@ -32,6 +33,7 @@ from operator import add, getitem, truediv
 
 from .errors import EmptyArgument, EmptyCandidates, ModelNotShafer
 from .lattice import LatticeElement, Model, _column_fold, _per_byte
+from .rules import _over_one_den
 
 
 def _reduced_items(m, model):
@@ -146,24 +148,23 @@ def _density(model, m, zero_cardinality):
     focal, stranded, warnings = [], [], []
     for rx, v in _reduced_items(m, model):
         if rx:
-            focal.append((rx, *v.as_integer_ratio()))
+            focal.append((rx, v))
         elif v:
             if zero_cardinality == "to_empty":
-                stranded.append(v.as_integer_ratio())
+                stranded.append(v)
             else:
-                warnings.append(f"mass {v:g} on forbidden element skipped by the transform")
-    top = max([d for _, _, d in focal] + [d for _, d in stranded], default=1).bit_length()
-    cards = lcm(*(rx.bit_count() for rx, _, _ in focal))
+                warnings.append(f"mass {float(v):g} on forbidden element skipped by the transform")
+    ints, den = _over_one_den([v for _, v in focal] + stranded)
+    cards = lcm(*(rx.bit_count() for rx, _ in focal))
     q = [0] * model.frame.part_count
-    for rx, n, d in focal:
-        w = (n << (top - d.bit_length())) * (cards // rx.bit_count())
+    for (rx, _), n in zip(focal, ints):
+        w = n * (cards // rx.bit_count())
         while rx:
             low = rx & -rx
             q[low.bit_length() - 1] += w
             rx ^= low
-    empty = sum(n << (top - d.bit_length()) for n, d in stranded) * cards
-    return _Density(_per_byte(q, 0, add), empty, cards << (top - 1)), tuple(warnings)
-
+    empty = sum(ints[len(focal):]) * cards
+    return _Density(_per_byte(q, 0, add), empty, cards * den), tuple(warnings)
 
 @dataclass(frozen=True)
 class PignisticDistribution:

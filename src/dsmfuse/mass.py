@@ -420,7 +420,7 @@ class PreciseMass(_MassBase):
         )
 
     def __repr__(self):
-        inner = ", ".join(f"{el.expr()}: {v:g}" for el, v in self._masses.items())
+        inner = ", ".join(f"{el.expr()}: {float(v):g}" for el, v in self._masses.items())
         return "PreciseMass({" + inner + "})"
 
 

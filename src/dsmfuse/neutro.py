@@ -22,8 +22,8 @@ from .errors import ValidationError, ZeroSum
 from .lattice import LatticeElement
 from .mass import SubunitarySet, _MassBase
 from .rules import (
-    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _fold, _join_plan, _kernel, _prepare,
-    _transfer_plan, _walk,
+    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _fold, _join_plan, _kernel, _over_one_den,
+    _prepare, _transfer_plan, _walk,
 )
 
 _ONE = SubunitarySet.point(1.0)
@@ -170,8 +170,8 @@ class TripleMass(_MassBase):
 class _PointTriple(tuple):
     """(t, i, f) numbers with componentwise arithmetic: the value type
     triple fusion sums, floats on the walk and ints on the fold. Its
-    integer ratio is three ints over one power of two, the floats
-    exactly, so the fold carries all three components in one pass."""
+    integer ratio is three ints over one common denominator, exactly, so
+    the fold carries all three components in one pass."""
 
     __slots__ = ()
 
@@ -185,13 +185,13 @@ class _PointTriple(tuple):
     def __mul__(self, other):
         return _PointTriple((self[0] * other[0], self[1] * other[1], self[2] * other[2]))
 
-    def __lshift__(self, k):
-        return _PointTriple((self[0] << k, self[1] << k, self[2] << k))
+    def __rmul__(self, k):
+        # k * t: _over_one_den scales a triple's ints by an int
+        return _PointTriple((k * self[0], k * self[1], k * self[2]))
 
     def as_integer_ratio(self):
-        ratios = [x.as_integer_ratio() for x in self]
-        den = max(d for _, d in ratios)
-        return _PointTriple(n * (den // d) for n, d in ratios), den
+        ints, den = _over_one_den(self)
+        return _PointTriple(ints), den
 
 
 _ZERO = _PointTriple((0.0, 0.0, 0.0))

@@ -30,10 +30,11 @@ element, so the loops' dicts hash them at C speed. The plans:
 Two loops run the plans. `_fold` runs every product rule: dsm_classic,
 dsm_hybrid, dempster, smets, yager, disjunctive, dubois_prade, the three
 degree-weighted rules, tnorm[algebraic] and neutro's nnorm[algebraic]. A
-value is a float or neutro's (t, i, f) point triple, whose arithmetic is
-componentwise, so one fold carries all three components. Each source's
-values are scaled exactly onto ints over one power of two, so every
-product and sum is an exact int; the fold combines one source at a time
+value is a float, a Fraction or neutro's (t, i, f) point triple, whose
+arithmetic is componentwise, so one fold carries all three components.
+Each source's values are scaled exactly onto ints over one common
+denominator, so every product and sum is an exact int and Fractions fuse
+exactly; the fold combines one source at a time
 over the distinct states and lands each final state once, on int keys.
 Each fused mass, conflict and dropped mass is rounded once, by int true
 division, which rounds correctly. So the results are the exact sums
@@ -179,30 +180,39 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
     return acc, conflict, lost, 1
 
 
+def _over_one_den(values):
+    """values as ints over one common denominator, exactly: (ints, den),
+    den the lcm of the denominators as_integer_ratio gives. A float's is a
+    power of two, so for floats den is the largest one and each int its
+    numerator shifted up; a Fraction brings its own denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return [(den // d) * n for n, d in ratios], den
+
+
 def _fold(sources, plan):
     """Sum every focal tuple's product on its landing site, exactly.
 
-    A value is anything with as_integer_ratio whose ints add, multiply and
-    shift: a float, or neutro's (t, i, f) point triple, whose ratio is
-    three ints over one power of two and whose arithmetic is componentwise.
-    Each source's nonzero values become ints over one power of two, the
-    floats exactly: as_integer_ratio gives each value's own power of two,
-    and the smaller ones are shifted up to the largest (a fixed 2**S scale
-    would overflow near subnormals). The sources are folded in one at a
-    time over a dict of distinct states and their exact int sums, then
-    each final state is landed once; a weight from land is an int or a
-    Fraction, and only weights bring an lcm. Returns (sums per int key,
-    conflict, mass dropped on key None, den): ints (or triples of ints),
-    each standing for itself over den; a conflict or dropped mass with no
-    tuple is the int 0.
+    A value is anything with as_integer_ratio whose ints add and multiply:
+    a float, a Fraction, or neutro's (t, i, f) point triple, whose ratio is
+    three ints over one denominator and whose arithmetic is componentwise.
+    Each source's nonzero values become ints over one common denominator
+    (_over_one_den), exactly; a fixed 2**S scale would overflow near
+    subnormals. The sources are folded in one at a time over a dict of
+    distinct states and their exact int sums, then each final state is
+    landed once; a weight from land is an int or a
+    Fraction, and only weights bring a further lcm. Returns (sums per int
+    key, conflict, mass dropped on key None, den): ints (or triples of
+    ints), each standing for itself over den; a conflict or dropped mass
+    with no tuple is the int 0.
     """
     facts, step, land = plan
-    states, shift = None, 0
+    states, den = None, 1
     for m in sources:
-        ratios = [(facts(el), *v.as_integer_ratio()) for el, v in _focal_items(m)]
-        top = max([d for _, _, d in ratios], default=1).bit_length()
-        shift += top - 1
-        items = [(fact, n << (top - d.bit_length())) for fact, n, d in ratios]
+        focal = _focal_items(m)
+        ints, d = _over_one_den([v for _, v in focal])
+        den *= d
+        items = [(facts(el), n) for (el, _), n in zip(focal, ints)]
         folded = {}
         if states is None:
             for fact, n in items:
@@ -214,8 +224,7 @@ def _fold(sources, plan):
                     folded[final] = folded.get(final, 0) + a * b
         states = folded
     landed = [(*land(state), x) for state, x in states.items()]
-    weights = [w.denominator for _, w, _, _ in landed if w is not None]
-    scale = lcm(*weights) if weights else 1
+    scale = lcm(*[w.denominator for _, w, _, _ in landed if w is not None])
     if scale != 1:
         landed = [(key, w, dead, x * scale) for key, w, dead, x in landed]
     acc, conflict, lost = {}, 0, 0
@@ -227,7 +236,7 @@ def _fold(sources, plan):
             lost += value
         else:
             acc[key] = acc.get(key, 0) + value
-    return acc, conflict, lost, scale << shift
+    return acc, conflict, lost, scale * den
 
 
 def _report(rule, model, warnings, sums, total=None, allows_empty_focal=False):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import rules
+from dsmfuse.decision import gpt
 from dsmfuse.errors import (
     DegenerateModel,
     DegenerateNormalization,
@@ -345,6 +346,25 @@ def test_dempster_gives_a_lone_survivor_exactly_one():
     m2 = PreciseMass(F3, {TH2: 1 - 0.001, TH3: 0.001})
     r = dempster(Model.shafer(F3), [m1, m2])
     assert len(r.mass) == 1 and r.mass_of(TH3) == 1.0
+
+
+def test_fraction_masses_fuse_and_spread_exactly():
+    # a denominator of 3 was read as the next power of two, 4: each fused
+    # mass came out 0.5, dempster's conflict 0.5 and free gpt 1.5 on a|b
+    f = Frame(("a", "b"))
+    a, b = f.atom(1), f.atom(2)
+    m1 = PreciseMass(f, {a: Fraction(1, 3), b: Fraction(2, 3)})
+    m2 = PreciseMass(f, {a: Fraction(1, 2), a | b: Fraction(1, 2)})
+    third = float(Fraction(1, 3))
+    assert dsm_classic([m1, m2]).mass.items() == [(a & b, third), (a, third), (b, third)]
+    assert dempster(Model.shafer(f), [m1, m2]).conflict == third
+    assert list(gpt(Model.free(f), m1).values) == [float(x) for x in (
+        0, Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), 1)]
+    # the skipped mass is printed as a float, Fraction or not
+    dead = PreciseMass(f, {a & b: Fraction(1, 4), a: Fraction(3, 4)})
+    assert gpt(Model.shafer(f), dead).warnings == (
+        "mass 0.25 on forbidden element skipped by the transform",)
+    assert repr(m1) == "PreciseMass({a: 0.333333, b: 0.666667})"
 
 
 def test_smets_keeps_conflict_on_empty():

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
-from operator import add, and_, mul, or_
+from operator import add, and_, mul, or_, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -158,9 +158,9 @@ def pool(n):
 @st.composite
 def fusions(draw):
     """(model, sources): precise, lifted, set-valued or triple sources on a
-    free, shafer or hybrid model; focal elements may be reduced keys, and a
-    precise or lifted source may carry a speck of mass on the empty
-    element."""
+    free, shafer or hybrid model; focal elements may be reduced keys, a
+    precise source may hold Fractions, and a precise or lifted source may
+    carry a speck of mass on the empty element."""
     els = pool(draw(st.integers(2, 4)))
     frame = els[0].frame
     kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
@@ -179,7 +179,8 @@ def fusions(draw):
         focal = list(dict.fromkeys(focal))
         weights = draw(st.lists(st.integers(1, 100), min_size=len(focal),
                                 max_size=len(focal)))
-        masses = {e: w / sum(weights) for e, w in zip(focal, weights)}
+        ratio = Fraction if values == "precise" and draw(st.booleans()) else truediv
+        masses = {e: ratio(w, sum(weights)) for e, w in zip(focal, weights)}
         if values == "triple":
             sources.append(TripleMass(frame, {e: NeutrosophicTriple.of(
                 *draw(st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])] * 3)))
