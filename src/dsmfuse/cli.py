@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 parse or validation error, 3 rule error,
 import argparse
 import functools
 import sys
-from itertools import groupby, repeat
+from itertools import chain, count, groupby, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
@@ -100,13 +100,6 @@ def _cmd_fuse(args):
     return EXIT_OK
 
 
-def _lattice_rows(model):
-    """Iterators over the distinct elements' canonical expressions and
-    cardinalities, read from the model's reduced alive bitsets."""
-    bits = model.alive_bits()
-    return expressions(model.frame.labels, "ascii", bits), map(int.bit_count, bits)
-
-
 def _cmd_lattice(args):
     if args.model:
         scenario = load_scenario(args.model)
@@ -121,37 +114,25 @@ def _cmd_lattice(args):
     else:
         raise ValidationError(["lattice needs --n or --model"])
     _check_frame_budget(frame, min(args.max_frame, 6))
+    # the model's reduced alive bitsets, which start with the empty element
+    bits = model.alive_bits()
+    exprs, out = expressions(frame.labels, "ascii", bits), sys.stdout
     if args.format == "json":
-        return _stream_lattice_json(frame, model)
-    return _stream_lattice_table(model)
-
-
-def _stream_lattice_json(frame, model):
-    """Write the listing as it is produced, matching json.dumps(doc, indent=2)."""
-    out = sys.stdout
-    out.write("{\n" + ",\n".join(_json_head(frame, model)) + ',\n  "elements": [')
-    count = 0
-    sep = "\n"
-    for count, (e, c) in enumerate(zip(*_lattice_rows(model)), 1):
-        out.write(f'{sep}    {{\n      "index": {count - 1},\n      "expression": {_json_str(e)},\n'
-                  f'      "cardinality": {c}\n    }}')
-        sep = ",\n"
-    out.write("]" if count == 0 else "\n  ]")
-    out.write(f',\n  "count": {count}\n}}\n')
-    return EXIT_OK
-
-
-def _stream_lattice_table(model):
+        # written as it is produced, matching json.dumps(doc, indent=2)
+        out.write("{\n" + ",\n".join(_json_head(frame, model)) + ',\n  "elements": [')
+        out.writelines(map('{}    {{\n      "index": {},\n      "expression": {},\n'
+                           '      "cardinality": {}\n    }}'.format, chain(["\n"], repeat(",\n")),
+                           count(), map(_json_str, exprs), map(int.bit_count, bits)))
+        out.write(f'\n  ],\n  "count": {len(bits)}\n}}\n')
+        return EXIT_OK
     # the expression column is as wide as the widest row, so every row is
     # rendered once and held until the width is known (7.8 million strings
-    # at six hypotheses); the cardinalities are counted as the rows print
-    exprs, cards = _lattice_rows(model)
+    # at six hypotheses)
     exprs = list(exprs)
-    width = max(max(map(len, exprs), default=0), len("expression"))
-    out = sys.stdout
+    width = max(max(map(len, exprs)), len("expression"))
     out.write(f"{'index':>5}  {'expression':<{width}}  cardinality\n")
-    out.writelines(f"{i:>5}  {e:<{width}}  {c}\n" for i, (e, c) in enumerate(zip(exprs, cards)))
-    out.write(f"{len(exprs)} elements\n")
+    out.writelines(map(f"{{:>5}}  {{:<{width}}}  {{}}\n".format, count(), exprs, map(int.bit_count, bits)))
+    out.write(f"{len(bits)} elements\n")
     return EXIT_OK
 
 
@@ -232,14 +213,11 @@ def _json_task(r, labels, precision):
     if r.error is not None:
         fields.append(f'{pad}"error": {_json_str(f"{type(r.error).__name__}: {r.error}")}')
         return "    " + _json_wrap(fields, "    ")
-    warnings = list(r.report.warnings)
-    if r.pignistic is not None:
-        warnings += list(r.pignistic.warnings)
     mass = r.report.mass.items()
     texts = [_json_text(v, precision, pad + "  ") for _, v in mass]
     fields.append(f'{pad}"mass": {_json_rows([el.bits for el, _ in mass], texts, labels, pad)}')
     fields.append(f'{pad}"conflict": {_json_text(r.report.conflict, precision, pad)}')
-    fields.append(f'{pad}"warnings": {_json_strings(warnings, pad)}')
+    fields.append(f'{pad}"warnings": {_json_strings(_warnings(r), pad)}')
     if r.bel is not None:
         for name, table in (("bel", r.bel), ("pl", r.pl)):
             rows = _json_rows([el.bits for el in table], _json_floats(table.values(), precision),
@@ -309,15 +287,20 @@ def _single_block(r, labels, precision):
         lines.append("pignistic:")
         lines += map(row, keys, _table_floats(r.pignistic.values, precision))
     if r.decision is not None:
-        tie = " (tie)" if r.decision.tie else ""
-        lines.append(f"decision: {r.decision.choice.expr(style='ascii')}"
-                     f" ({_format_value(r.decision.score, precision)}){tie}")
-    warnings = list(r.report.warnings)
-    if r.pignistic is not None:
-        warnings += list(r.pignistic.warnings)
-    for w in warnings:
-        lines.append(f"warning: {w}")
+        lines.append(f"decision: {_decision_text(r.decision, precision)}")
+    lines += map("warning: {}".format, _warnings(r))
     return lines
+
+
+def _warnings(r):
+    """A task's warnings: its rule's, then its pignistic transform's."""
+    return [*r.report.warnings, *(() if r.pignistic is None else r.pignistic.warnings)]
+
+
+def _decision_text(d, precision):
+    """A decision as the tables print it: choice, score and any tie."""
+    tie = " (tie)" if d.tie else ""
+    return f"{d.choice.expr(style='ascii')} ({_format_value(d.score, precision)}){tie}"
 
 
 def _table_floats(values, precision):
@@ -330,45 +313,26 @@ def _table_floats(values, precision):
 def _compare_table(results, labels, precision):
     # union of focal rows across rules, one column per rule; rows that render
     # to the same expression share a line even when the rules key them by
-    # different (free vs reduced) lattice elements
-    order = {}
-    per_rule = []
-    for r in results:
-        if r.error is not None:
-            per_rule.append({})
-            continue
-        rows = {}
-        mass = r.report.mass.items()
-        for label, (el, v) in zip(expressions(labels, "ascii", [el.bits for el, _ in mass]), mass):
-            rows[label] = _format_value(v, precision)
-            sort_key = (el.bits.bit_count(), el.bits)
-            if label not in order or sort_key < order[label]:
-                order[label] = sort_key
-        per_rule.append(rows)
-    labels = sorted(order, key=lambda k: order[k])
-    # a column per rule: its name, a cell per label and its conflict
-    columns = [[r.rule, *(rows.get(k, "") for k in labels),
+    # different (free vs reduced) lattice elements, and take the place of
+    # the least (cardinality, bits) among those elements
+    masses = [() if r.error is not None else r.report.mass.items() for r in results]
+    named = [list(zip(expressions(labels, "ascii", [el.bits for el, _ in m]), m)) for m in masses]
+    keys = list(dict.fromkeys(k for *_, k in sorted(
+        (el.bits.bit_count(), el.bits, k) for rows in named for k, (el, _) in rows)))
+    cells = [{k: _format_value(v, precision) for k, (_, v) in rows} for rows in named]
+    # a column per rule: its name, a cell per key and its conflict
+    columns = [[r.rule, *(rows.get(k, "") for k in keys),
                 "" if r.error is not None else _format_value(r.report.conflict, precision)]
-               for r, rows in zip(results, per_rule)]
+               for r, rows in zip(results, cells)]
     floor = 0 if precision is None else precision + 2
     widths = [max(floor, *map(len, column)) for column in columns]
-    label_w = max([len(k) for k in labels] + [8])
-    lines = [""]
-    for label, cells in zip(["element", *labels, "conflict"], zip(*columns)):
-        lines.append(f"{label:<{label_w}}" + "".join(f"  {c:>{w}}" for c, w in zip(cells, widths)))
-    for r in results:
-        if r.error is not None:
-            lines.append(f"note: {r.rule}: {type(r.error).__name__}: {r.error}")
-        for w in r.report.warnings if r.report else ():
-            lines.append(f"note: {r.rule}: {w}")
-    if any(r.decision is not None for r in results):
-        lines.append("")
-        for r in results:
-            if r.decision is not None:
-                tie = " (tie)" if r.decision.tie else ""
-                lines.append(f"decision[{r.rule}]: {r.decision.choice.expr(style='ascii')}"
-                             f" ({_format_value(r.decision.score, precision)}){tie}")
-    return lines
+    row = f"{{:<{max([len(k) for k in keys] + [8])}}}" + "".join(f"  {{:>{w}}}" for w in widths)
+    lines = ["", *map(row.format, ["element", *keys, "conflict"], *columns)]
+    lines += [f"note: {r.rule}: {w}" for r in results for w in (
+        r.report.warnings if r.error is None else [f"{type(r.error).__name__}: {r.error}"])]
+    decided = [f"decision[{r.rule}]: {_decision_text(r.decision, precision)}"
+               for r in results if r.decision is not None]
+    return lines + ([""] + decided if decided else [])
 
 
 if __name__ == "__main__":
