@@ -35,7 +35,7 @@ keeps a rule's error in its result; any other task raises it.
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import neutro, rules
 from .decision import decide as decide_fn
@@ -180,46 +180,36 @@ def parse_scenario(text):
     current_source = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        stripped = line.strip()
-        head = _SECTION_RE.match(stripped)
-        if head:
-            word = head.group(1)
-            rest = stripped[head.end():].strip()
-            if word == "frame":
-                if frame_labels is not None:
-                    raise ParseError("frame given twice", lineno)
-                frame_labels = [w for w in re.split(r"[,\s]+", rest) if w]
-                current_source = None
-                continue
-            if word == "model":
-                if model_kind is not None:
-                    raise ParseError("model given twice", lineno)
-                model_kind = rest
-                current_source = None
-                continue
-            if word == "constraint":
-                constraint_specs.append((rest, lineno))
-                current_source = None
-                continue
-            if word == "source":
-                name = rest.rstrip(":").strip()
-                if not name:
-                    raise ParseError("source needs a name", lineno)
-                current_source = []
-                source_specs.append((name, current_source, lineno))
-                continue
-            if word == "task":
-                task_specs.append((rest.split(), lineno))
-                current_source = None
-                continue
-        if current_source is not None and "=" in stripped:
-            expr_text, value_text = stripped.split("=", 1)
+        head = _SECTION_RE.match(line)
+        if head is None:
+            if current_source is None or "=" not in line:
+                raise ParseError(f"unrecognized line {line!r}", lineno)
+            expr_text, value_text = line.split("=", 1)
             current_source.append((expr_text.strip(), value_text.strip(), lineno))
             continue
-        raise ParseError(f"unrecognized line {stripped!r}", lineno)
+        word, rest = head.group(1), line[head.end():].strip()
+        current_source = None
+        if word == "frame":
+            if frame_labels is not None:
+                raise ParseError("frame given twice", lineno)
+            frame_labels = [w for w in re.split(r"[,\s]+", rest) if w]
+        elif word == "model":
+            if model_kind is not None:
+                raise ParseError("model given twice", lineno)
+            model_kind = rest
+        elif word == "constraint":
+            constraint_specs.append((rest, lineno))
+        elif word == "source":
+            name = rest.rstrip(":").strip()
+            if not name:
+                raise ParseError("source needs a name", lineno)
+            current_source = []
+            source_specs.append((name, current_source, lineno))
+        else:
+            task_specs.append((rest.split(), lineno))
 
     return _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, task_specs)
 
@@ -541,16 +531,12 @@ def run(scenario, rule=None, compare=False, decide=False, s3=None):
     """Execute the scenario's tasks (or the overriding rule/compare request)
     and return a list of TaskResult. decide and s3, when given, apply to
     every task run."""
-    tasks = list(scenario.tasks)
-    if rule or compare:
+    if rule or compare or not scenario.tasks:
         tasks = [Task("compare" if compare else "fuse", rule, (), decide)]
-    elif not tasks:
-        tasks = [Task("fuse", None, (), decide)]
-    elif decide:
-        tasks = [Task(t.kind, t.rule, t.params, True) for t in tasks]
+    else:
+        tasks = [replace(t, decide=True) if decide else t for t in scenario.tasks]
     if s3:
-        tasks = [Task(t.kind, t.rule, tuple(sorted(dict(t.params, s3=s3).items())), t.decide)
-                 for t in tasks]
+        tasks = [replace(t, params=tuple(sorted(dict(t.params, s3=s3).items()))) for t in tasks]
 
     results = []
     for task in tasks:
