@@ -131,7 +131,8 @@ def _cmd_lattice(args):
     exprs = list(exprs)
     width = max(max(map(len, exprs)), len("expression"))
     out.write(f"{'index':>5}  {'expression':<{width}}  cardinality\n")
-    out.writelines(map(f"{{:>5}}  {{:<{width}}}  {{}}\n".format, count(), exprs, map(int.bit_count, bits)))
+    out.writelines(map(f"{{:>5}}  {{:<{width}}}  {{}}\n".format, count(), exprs,
+                       map(int.bit_count, bits)))
     out.write(f"{len(bits)} elements\n")
     return EXIT_OK
 

@@ -11,12 +11,11 @@ the part density q(p) = sum over focal X holding p of m(X) / |X|. q is
 exact: the masses become ints over one common denominator (the lcm of
 their as_integer_ratio denominators, so Fractions spread exactly), each
 times the lcm of the focal cardinalities over |X|, so every term is an
-int over one shared denominator. One
-256-entry table of sums of q per byte of a part bitset, summed over the
-model's alive bitsets by byte column (lattice._column_fold, the renderer's
-pass), gives each element's exact numerator, divided once by int true
-division: each value is the exact sum rounded once, whatever the order of
-the focal elements. The
+int over one shared denominator. One 256-entry table of sums of q per
+byte of a part bitset, summed over the model's alive bitsets by byte
+column (lattice._column_fold, the renderer's pass), gives each element's
+exact numerator, divided once by int true division: each value is the
+exact sum rounded once, whatever the order of the focal elements. The
 classical variant additionally moves mass on zero-cardinality elements to
 the empty element, exactly, before that rounding (the 0/0 = 1 reading of the
 empty-over-empty ratio), which keeps open-world masses accounted for; the
@@ -165,6 +164,7 @@ def _density(model, m, zero_cardinality):
             rx ^= low
     empty = sum(ints[len(focal):]) * cards
     return _Density(_per_byte(q, 0, add), empty, cards * den), tuple(warnings)
+
 
 @dataclass(frozen=True)
 class PignisticDistribution:

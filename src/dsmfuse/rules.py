@@ -34,14 +34,13 @@ value is a float, a Fraction or neutro's (t, i, f) point triple, whose
 arithmetic is componentwise, so one fold carries all three components.
 Each source's values are scaled exactly onto ints over one common
 denominator, so every product and sum is an exact int and Fractions fuse
-exactly; the fold combines one source at a time
-over the distinct states and lands each final state once, on int keys.
-Each fused mass, conflict and dropped mass is rounded once, by int true
-division, which rounds correctly. So the results are the exact sums
-rounded once, the same whatever the order of the sources and of the
-focal items, and the cost grows with the distinct states, not with the
-tuples. Degree weights are exact ratios of cardinalities, and
-normalizations divide exact sums.
+exactly; the fold combines one source at a time over the distinct states
+and lands each final state once, on int keys. Each fused mass, conflict
+and dropped mass is rounded once, by int true division, which rounds
+correctly. So the results are the exact sums rounded once, the same
+whatever the order of the sources and of the focal items, and the cost
+grows with the distinct states, not with the tuples. Degree weights are
+exact ratios of cardinalities, and normalizations divide exact sums.
 Dempster divides each alive sum by the exact alive total, not by 1 - k12:
 the two differ when the inputs do not sum to exactly 1 in binary, and only
 the first gives a lone surviving element exactly 1. Dempster refuses
@@ -200,11 +199,11 @@ def _fold(sources, plan):
     (_over_one_den), exactly; a fixed 2**S scale would overflow near
     subnormals. The sources are folded in one at a time over a dict of
     distinct states and their exact int sums, then each final state is
-    landed once; a weight from land is an int or a
-    Fraction, and only weights bring a further lcm. Returns (sums per int
-    key, conflict, mass dropped on key None, den): ints (or triples of
-    ints), each standing for itself over den; a conflict or dropped mass
-    with no tuple is the int 0.
+    landed once; a weight from land is an int or a Fraction, and only
+    weights bring a further lcm. Returns (sums per int key, conflict, mass
+    dropped on key None, den): ints (or triples of ints), each standing
+    for itself over den; a conflict or dropped mass with no tuple is the
+    int 0.
     """
     facts, step, land = plan
     states, den = None, 1
