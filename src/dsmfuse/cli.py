@@ -114,15 +114,16 @@ def _cmd_lattice(args):
     else:
         raise ValidationError(["lattice needs --n or --model"])
     _check_frame_budget(frame, min(args.max_frame, 6))
-    # the model's reduced alive bitsets, which start with the empty element
-    bits = model.alive_bits()
-    exprs, out = expressions(frame.labels, "ascii", bits), sys.stdout
+    # the model's reduced alive bitsets, which start with the empty element;
+    # rows print by %, which formats a row faster than str.format does
+    bits, out = model.alive_bits(), sys.stdout
+    exprs, cards = expressions(frame.labels, "ascii", bits), map(int.bit_count, bits)
     if args.format == "json":
         # written as it is produced, matching json.dumps(doc, indent=2)
         out.write("{\n" + ",\n".join(_json_head(frame, model)) + ',\n  "elements": [')
-        out.writelines(map('{}    {{\n      "index": {},\n      "expression": {},\n'
-                           '      "cardinality": {}\n    }}'.format, chain(["\n"], repeat(",\n")),
-                           count(), map(_json_str, exprs), map(int.bit_count, bits)))
+        row = '%s    {\n      "index": %d,\n      "expression": %s,\n      "cardinality": %d\n    }'
+        out.writelines(map(row.__mod__, zip(chain(["\n"], repeat(",\n")), count(),
+                                            map(_json_str, exprs), cards)))
         out.write(f'\n  ],\n  "count": {len(bits)}\n}}\n')
         return EXIT_OK
     # the expression column is as wide as the widest row, so every row is
@@ -131,11 +132,9 @@ def _cmd_lattice(args):
     exprs = list(exprs)
     width = max(max(map(len, exprs)), len("expression"))
     out.write(f"{'index':>5}  {'expression':<{width}}  cardinality\n")
-    out.writelines(map(f"{{:>5}}  {{:<{width}}}  {{}}\n".format, count(), exprs,
-                       map(int.bit_count, bits)))
+    out.writelines(map(f"%5d  %-{width}s  %d\n".__mod__, zip(count(), exprs, cards)))
     out.write(f"{len(bits)} elements\n")
     return EXIT_OK
-
 
 # --- JSON writing ------------------------------------------------------------------
 #
