@@ -20,17 +20,19 @@ key is not below the next one's start key, a union keeps the max end and an
 intersection the max start and min end. Closedness is read from the keys and
 values from plain max and min, which keeps signed zeros where they were.
 
-The pieces that +, -, * and the merge compute are not validated again: the
-piece rules are monotone in each endpoint, so pieces in order give a piece
-in order, and a piece that collapses to one value still becomes a closed
-point. A +, - or * of two one-piece sets (every point-with-point step of
-the imprecise rules) also skips the merge and its sort, as does
-`SubunitarySet.point`: one piece is already sorted and merged. Operations
-on sets of several pieces go through the merge.
+The arithmetic runs on plain piece tuples, which a set wraps once; they
+are not validated again: the piece rules are monotone in each endpoint, so
+pieces in order give a piece in order, and a piece that collapses to one
+value still becomes a closed point. + and * against a one-piece set skip
+the merge's sort: their images come out with lower ends in order and
+coalesce in one pass (two one-piece sets, every point-with-point step of
+the imprecise rules, give one piece and no pass). - is antitone in its
+right operand, so it, like + and * on two sets of several pieces, merges.
 """
 
 import re
 from collections import namedtuple
+from functools import partial
 
 from .errors import (
     EmptyOperand,
@@ -81,16 +83,34 @@ class Piece(namedtuple("Piece", "lower upper lower_closed upper_closed")):
 
 
 def _merge(pieces):
-    """Coalesce overlapping or touching pieces into maximal runs."""
-    pieces = sorted(pieces, key=lambda p: (p.lower, not p.lower_closed, p.upper))
+    """Coalesce overlapping or touching pieces, in any order, into maximal runs."""
+    pieces = sorted(pieces, key=lambda p: (p[0], not p[2], p[1]))
+    if not pieces:
+        raise EmptyOperand("subunitary set needs at least one piece")
+    return _coalesce(pieces)
+
+
+def _coalesce(pieces):
+    """Coalesce nonempty pieces whose lower ends never decrease into maximal
+    runs (plain tuples), as the merge does after its sort. That sort puts a
+    closed start first, so a closed piece starting where an open run does
+    closes the run, which may then join the run before it."""
     out = []
-    for p in pieces:
-        if out and (out[-1].upper, out[-1].upper_closed) >= (p.lower, not p.lower_closed):
-            lo, up, loc, upc = out[-1]
-            upc = max((up, upc), (p.upper, p.upper_closed))[1]
-            out[-1] = _image(lo, max(up, p.upper), loc, upc)
+    lo, up, lc, uc = pieces[0]
+    for a, b, ac, bc in pieces[1:]:
+        if up > a or up == a and (uc or ac):
+            if b > up:
+                up, uc = b, bc
+            elif b == up and bc:
+                uc = True
+            if a == lo and ac and not lc:
+                lo, lc = a, True
+                if out and out[-1][1] == a:
+                    lo, _, lc, _ = out.pop()
         else:
-            out.append(p)
+            out.append((lo, up, lc, uc))
+            lo, up, lc, uc = a, b, ac, bc
+    out.append((lo, up, lc, uc))
     return out
 
 
@@ -100,10 +120,7 @@ class SubunitarySet:
     __slots__ = ("pieces",)
 
     def __init__(self, pieces):
-        pieces = _merge(pieces)
-        if not pieces:
-            raise EmptyOperand("subunitary set needs at least one piece")
-        object.__setattr__(self, "pieces", tuple(pieces))
+        _set_pieces(self, tuple(map(_piece, _merge(pieces))))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubunitarySet is immutable")
@@ -111,7 +128,7 @@ class SubunitarySet:
     @classmethod
     def point(cls, x):
         x = float(x)
-        return _single(cls, _image(x, x, True, True))
+        return _of(((x, x, True, True),))
 
     @classmethod
     def interval(cls, lower, upper, lower_closed=True, upper_closed=True):
@@ -140,22 +157,16 @@ class SubunitarySet:
     def within_unit(self, tol=DEFAULT_TOL):
         return self.inf >= -tol and self.sup <= 1 + tol
 
-    def _binary(self, other, op):
-        a, b = self.pieces, other.pieces
-        if len(a) == 1 and len(b) == 1:
-            return _single(SubunitarySet, op(a[0], b[0]))
-        return SubunitarySet([op(p, q) for p in a for q in b])
-
     def __add__(self, other):
-        return self._binary(other, _piece_add)
+        return _of(_set_sum(self.pieces, other.pieces))
 
     def __sub__(self, other):
-        return self._binary(other, _piece_sub)
+        return _of(_merge([_piece_sub(p, q) for p in self.pieces for q in other.pieces]))
 
     def __mul__(self, other):
         if self.inf < 0 or other.inf < 0:
             raise ValueError("product defined for nonnegative sets only")
-        return self._binary(other, _piece_mul)
+        return _of(_set_product(self.pieces, other.pieces))
 
     def clamp01(self):
         """Pointwise image under min(1, max(0, .)): a clamped end is attained."""
@@ -195,50 +206,56 @@ class SubunitarySet:
 
 
 _set_pieces = SubunitarySet.pieces.__set__
+_piece = partial(tuple.__new__, Piece)  # a Piece from a piece tuple, unchecked
 
 
-def _single(cls, piece):
-    """The set of one piece, without the merge."""
-    s = object.__new__(cls)
-    _set_pieces(s, (piece,))
+def _of(pieces):
+    """The set of sorted and merged piece tuples, without the merge."""
+    s = object.__new__(SubunitarySet)
+    _set_pieces(s, tuple(map(_piece, pieces)))
     return s
 
 
-def _image(lower, upper, lower_closed, upper_closed):
-    """A piece from float endpoints in order and bool flags, as the merge
-    and the piece rules compute them from pieces: no casts and no order
-    check. A collapsed piece is a closed point, as in Piece."""
-    if lower == upper:
-        lower_closed = upper_closed = True
-    return tuple.__new__(Piece, (lower, upper, lower_closed, upper_closed))
-
+# The piece rules, on (lower, upper, lower_closed, upper_closed) tuples:
+# endpoints in order in, endpoints in order out, and a piece that collapses
+# to one value is a closed point, as in Piece.
 
 def _piece_add(a, b):
-    return _image(
-        a.lower + b.lower,
-        a.upper + b.upper,
-        a.lower_closed and b.lower_closed,
-        a.upper_closed and b.upper_closed,
-    )
+    lo, up = a[0] + b[0], a[1] + b[1]
+    return (lo, up, True, True) if lo == up else (lo, up, a[2] and b[2], a[3] and b[3])
 
 
 def _piece_sub(a, b):
-    return _image(
-        a.lower - b.upper,
-        a.upper - b.lower,
-        a.lower_closed and b.upper_closed,
-        a.upper_closed and b.lower_closed,
-    )
+    lo, up = a[0] - b[1], a[1] - b[0]
+    return (lo, up, True, True) if lo == up else (lo, up, a[2] and b[3], a[3] and b[2])
 
 
 def _piece_mul(a, b):
-    lo = a.lower * b.lower
-    up = a.upper * b.upper
-    loc = a.lower_closed and b.lower_closed
-    if lo == 0.0 and not loc:
+    lo, up, closed = a[0] * b[0], a[1] * b[1], a[2] and b[2]
+    if lo == 0.0 and not closed:
         # Zero is attained as soon as either factor attains it.
-        loc = (a.lower == 0.0 and a.lower_closed) or (b.lower == 0.0 and b.lower_closed)
-    return _image(lo, up, loc, a.upper_closed and b.upper_closed)
+        closed = (a[0] == 0.0 and a[2]) or (b[0] == 0.0 and b[2])
+    return (lo, up, True, True) if lo == up else (lo, up, closed, a[3] and b[3])
+
+
+def _images(op, a, b):
+    """The pieces of a op b, for sorted and merged piece tuples a and b and
+    op a piece rule monotone in both operands (+, or * when nonnegative):
+    against one piece the images come out with lower ends in order and
+    coalesce in one pass; two sets of several pieces go through the merge."""
+    if len(b) == 1:
+        q = b[0]
+        return (op(a[0], q),) if len(a) == 1 else _coalesce([op(p, q) for p in a])
+    if len(a) == 1:
+        p = a[0]
+        return _coalesce([op(p, q) for q in b])
+    return _merge([op(p, q) for p in a for q in b])
+
+
+# The sum and the product on the piece tuples of sets; the product is for
+# nonnegative sets only.
+_set_sum = partial(_images, _piece_add)
+_set_product = partial(_images, _piece_mul)
 
 
 def sum_sets(sets):
@@ -275,9 +292,10 @@ def parse_set(text):
         m = _INTERVAL_RE.fullmatch(part)
         if m:
             try:
-                piece = Piece(
-                    float(m.group(2)), float(m.group(3)), m.group(1) == "[", m.group(4) == "]"
-                )
+                lower, upper = float(m.group(2)), float(m.group(3))
+                if lower == upper and m.group(1) + m.group(4) != "[]":
+                    raise ValueError(f"interval {part} is empty")
+                piece = Piece(lower, upper, m.group(1) == "[", m.group(4) == "]")
             except ValueError as exc:
                 raise ParseError(f"bad set {text!r}: {exc}") from None
             pieces.append(piece)

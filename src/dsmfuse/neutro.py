@@ -194,9 +194,6 @@ class _PointTriple(tuple):
         return _PointTriple(ints), den
 
 
-_ZERO = _PointTriple((0.0, 0.0, 0.0))
-
-
 def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     """Sum the focal pairs with the kernel applied componentwise, drop
     all-zero sums and normalize the rest unless told not to. The reported
@@ -209,8 +206,9 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
         acc, conflict, _, den = _fold(points, plan(model))
     else:
         # Exactly two sources, so the kernel always meets two source triples.
-        acc, conflict, _, den = _walk(points, plan(model),
-                                      lambda a, b: _PointTriple(map(kernel, a, b)), _ZERO)
+        acc, conflict, _, den = _walk(points, plan(model), lambda a, b: (
+            kernel(a[0], b[0]), kernel(a[1], b[1]), kernel(a[2], b[2])),
+            lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]), (0.0, 0.0, 0.0))
     frame, point = model.frame, SubunitarySet.point
     out = {}
     for k, (t, i, f) in acc.items():

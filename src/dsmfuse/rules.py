@@ -53,10 +53,13 @@ subdistributive ({1}, {1}, {0,1} give (A+B)*C = {0,2} but A*C+B*C =
 prefixes: each prefix's state and kernel value are computed once, the stack
 holds at most the sources' focal counts summed, each distinct final state
 is landed once, and every tuple adds its own left-folded value in
-lexicographic tuple order. A value only needs + and the kernel: floats,
-subunitary sets and neutro's point triples all qualify. Imprecise sources
-whose every value is a point take the fold and come back as point sets, so
-they reproduce the precise rules bit for bit.
+lexicographic tuple order. Its value algebra is a reader (focal value to
+walk value), the kernel, an add and a zero: floats walk under * and +,
+subunitary sets as tuples of plain pieces under mass's set product and sum
+(each fused set built once, at the end), and neutro's point triples as
+plain 3-tuples under the kernel and + componentwise. Imprecise sources whose
+every value is a point take the fold and come back as point sets, so they
+reproduce the precise rules bit for bit.
 
 Both loops hand back the same result: sums on int keys, the conflict and
 the dropped mass, each standing for itself over a denominator (1 for the
@@ -68,7 +71,7 @@ their elements from the same int keys.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from operator import and_, attrgetter, mul, or_
+from operator import add, and_, attrgetter, mul, or_
 
 from .errors import (
     DegenerateNormalization,
@@ -80,6 +83,7 @@ from .errors import (
 )
 from .lattice import LatticeElement, Model, _close_up, _component_union
 from .mass import ImpreciseMass, PreciseMass, SubunitarySet, is_admissible, lift
+from .mass import _of, _set_product, _set_sum
 
 _NEAR_ZERO = 1e-12
 
@@ -141,14 +145,16 @@ def _focal_items(m):
     return [(el, v) for el, v in m.items() if v != 0.0]
 
 
-def _walk(sources, plan, kernel=mul, zero=0.0):
-    """Sum every focal tuple's value on its landing site, source by source.
+def _walk(sources, plan, kernel=mul, add=add, zero=0.0, read=None):
+    """Sum every focal tuple's value on its landing site, source by source,
+    under the value algebra kernel, add, zero and read (None keeps a value).
 
     Returns what _fold returns, over den 1: (sums per int key, conflict,
-    mass dropped on key None, 1).
+    mass dropped on key None, 1), sums as walk values.
     """
     facts, step, land = plan
-    first, *middle, last = [[(facts(el), v) for el, v in _focal_items(m)] for m in sources]
+    first, *middle, last = [[(facts(el), v if read is None else read(v))
+                             for el, v in _focal_items(m)] for m in sources]
     landed, rows, acc = {}, {}, {}
     conflict = lost = zero
     # (prefix state, value, middle sources folded); reversed pops in tuple order
@@ -171,11 +177,11 @@ def _walk(sources, plan, kernel=mul, zero=0.0):
             x = kernel(v, w)
             value = x if weight is None else weight * x
             if dead:
-                conflict = conflict + x
+                conflict = add(conflict, x)
             if key is None:
-                lost = lost + value
+                lost = add(lost, value)
             else:
-                acc[key] = acc.get(key, zero) + value
+                acc[key] = add(acc.get(key, zero), value)
     return acc, conflict, lost, 1
 
 
@@ -333,9 +339,10 @@ def _dsm_rule(rule, model, sources, s3_target):
     model, warnings = _prepare(sources, rule, model, wanted)
     plan = _transfer_plan(model, s3_target)
     if imprecise and not all(s.is_point for m in sources for _, s in m.items()):
-        acc, conflict, _, _ = _walk(sources, plan, zero=SubunitarySet.point(0.0))
-        mass = {LatticeElement(model.frame, k): v for k, v in acc.items()}
-        return FusionReport(rule, model, ImpreciseMass(model.frame, mass), conflict,
+        acc, conflict, _, _ = _walk(sources, plan, _set_product, _set_sum,
+                                    SubunitarySet.point(0.0).pieces, attrgetter("pieces"))
+        mass = {LatticeElement(model.frame, k): _of(v) for k, v in acc.items()}
+        return FusionReport(rule, model, ImpreciseMass(model.frame, mass), _of(conflict),
                             tuple(warnings))
     if not imprecise:
         return _report(rule, model, warnings, _fold(sources, plan))

@@ -3,7 +3,7 @@ import operator
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse.errors import (
@@ -27,6 +27,7 @@ from dsmfuse.mass import (
     sum_sets,
     to_precise,
 )
+from dsmfuse.mass import _merge, _piece_add, _piece_mul, _set_product, _set_sum
 
 F2 = Frame(("th1", "th2"))
 
@@ -423,6 +424,45 @@ def test_direct_builds_collapse_to_points_and_keep_zero_signs():
     assert repr(SubunitarySet.point(0.0) - SubunitarySet.point(-0.0)) == "{0.0}"
 
 
+# --- one-pass coalesce against the merge -------------------------------------------
+# Against a one-piece set, + and * take their images in order and coalesce
+# them in one pass, without the merge's sort. The merge of all the images is
+# the oracle: same pieces, same flags, same signed zeros. Endpoints include
+# subnormals whose products round to zero, and offsets near 1e17 where
+# neighbouring sums round to one float.
+
+TIE_ENDPOINTS = (-20.0, -16.0, -0.5, -0.0, 0.0, 5e-324, 1e-323, 1e-17, 0.1, 0.25, 0.5, 1.0, 2.0,
+                 1e17, 1e17 + 16, 2e17)
+tie_endpoint = st.one_of(st.sampled_from(TIE_ENDPOINTS), st.floats(-1, 2, width=32))
+
+
+def exact(pieces):
+    return [(repr(lo), repr(up), lc, uc) for lo, up, lc, uc in pieces]
+
+
+@settings(max_examples=800, deadline=None)
+@given(piece_specs(tie_endpoint), single_piece(tie_endpoint))
+# a zero start, open, then closed ones: subnormal starts times 0.25 round to 0
+@example([(5e-324, 0.5, False, True), (1e-323, 0.6, True, True)], (0.25, 0.5, True, True))
+# zero starts with mixed closedness against an open zero start
+@example([(0.0, 0.1, True, True), (0.2, 0.3, False, True)], (0.0, 0.5, False, True))
+# sums that tie after rounding: an open start ties a closed one where the run before ends open
+@example([(-20.0, -16.0, True, False), (0.0, 1.0, False, True), (2.0, 2.0, True, True)],
+         (1e17, 1e17 + 16, True, True))
+@example([(-0.0, 0.1, False, True), (0.5, 1.0, True, True)], (-0.0, 0.0, True, True))
+def test_one_pass_coalesce_matches_the_merge(spec, one):
+    many = SubunitarySet([Piece(*s) for s in spec]).pieces
+    assume(len(many) > 1)
+    single = SubunitarySet([Piece(*one)]).pieces
+    ops = [(_set_sum, _piece_add)]
+    if many[0].lower >= 0 and single[0].lower >= 0:
+        ops.append((_set_product, _piece_mul))
+    for fast, piece_op in ops:
+        for a, b in ((many, single), (single, many)):
+            want = _merge([piece_op(p, q) for p in a for q in b])
+            assert exact(fast(a, b)) == exact(want)
+
+
 def test_piece_is_a_validated_four_tuple():
     p = Piece(0, 0.5, False)
     lower, upper, lower_closed, upper_closed = p
@@ -474,7 +514,8 @@ def test_parse_set_accepted_forms(text, inf, sup):
     assert s.sup == pytest.approx(sup)
 
 
-@pytest.mark.parametrize("text", ["", "[0.1", "[0.2,0.1]", "{}", "[a,b]", "0.1,0.2"])
+@pytest.mark.parametrize("text", ["", "[0.1", "[0.2,0.1]", "{}", "[a,b]", "0.1,0.2",
+                                  "(0.5,0.5)", "[0.5,0.5)", "(0.5,0.5]", "{0.1}u(0.5,0.50)"])
 def test_parse_set_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_set(text)

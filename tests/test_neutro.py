@@ -11,7 +11,6 @@ from dsmfuse.errors import FewerThanTwoSources, ValidationError, ZeroSum
 from dsmfuse.lattice import Frame, LatticeElement, Model, enumerate_hyper_power_set, exclusivity
 from dsmfuse.mass import PreciseMass, SubunitarySet, parse_set
 from dsmfuse.neutro import (
-    _ZERO,
     NeutrosophicTriple,
     TripleMass,
     _PointTriple,
@@ -257,7 +256,7 @@ def ref_fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
-    zero = _ZERO
+    zero = _PointTriple((0.0,) * 3)
     if name == "nnorm[algebraic]":
         zero = _PointTriple((Fraction(0),) * 3)
 
@@ -265,7 +264,7 @@ def ref_fuse_triples(rule, name, kernel, sources, model, plan, normalize):
             return Fraction(x) * Fraction(y)
     # Exactly two sources, so the kernel always meets two source triples.
     acc, conflict, _, _ = _walk(
-        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), zero
+        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), zero=zero
     )
     out = {}
     for k, (t, i, f) in acc.items():

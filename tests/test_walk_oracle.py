@@ -1,9 +1,10 @@
 """The shared-prefix combination walk and the exact fold against a literal
 tuple walk.
 
-The oracle visits every focal tuple with itertools.product, folds its
-values left with the kernel, and recomputes each tuple's landing from its
-focal elements: the transfer, meet and join landings are written out here
+The oracle visits every focal tuple with itertools.product and applies the
+walk's value algebra literally: it reads each value, folds the values left
+with the kernel and sums with add. It recomputes each tuple's landing from
+its focal elements: the transfer, meet and join landings are written out here
 on whole element tuples. In place of the fold it does the same in exact
 Fractions, so the fold's results must be the exact sums rounded once.
 Patched in for the walk, the fold and their plans, it must give every
@@ -41,16 +42,17 @@ def focal_items(m):
     return [(el, v) for el, v in m.items() if v != 0.0]
 
 
-def tuple_walk(sources, plan, kernel=mul, zero=0.0, convert=None):
-    """Each tuple on its own: fold its facts and values (each value first
-    converted, when convert is given), land it. Handed back as the walk
-    hands its sums back: on int keys, over the denominator 1."""
+def tuple_walk(sources, plan, kernel=mul, add=add, zero=0.0, read=None):
+    """Each tuple on its own, under the walk's value algebra: read each of
+    its values (when read is given), fold its facts and values left with
+    step and kernel, land it and sum with add from zero. Handed back as
+    the walk hands its sums back: on int keys, over the denominator 1."""
     facts, step, land = plan
     acc = {}
     conflict = lost = zero
     for combo in itertools.product(*map(focal_items, sources)):
-        if convert is not None:
-            combo = [(el, convert(v)) for el, v in combo]
+        if read is not None:
+            combo = [(el, read(v)) for el, v in combo]
         (el, v), rest = combo[0], combo[1:]
         state = facts(el)
         for el, w in rest:
@@ -58,11 +60,11 @@ def tuple_walk(sources, plan, kernel=mul, zero=0.0, convert=None):
         key, weight, dead = land(state)
         value = v if weight is None else weight * v
         if dead:
-            conflict = conflict + v
+            conflict = add(conflict, v)
         if key is None:
-            lost = lost + value
+            lost = add(lost, value)
         else:
-            acc[key] = acc.get(key, zero) + value
+            acc[key] = add(acc.get(key, zero), value)
     return acc, conflict, lost, 1
 
 
@@ -81,10 +83,10 @@ def fraction_walk(sources, plan):
     sums back: ints on int keys over one denominator. A triple value is
     summed component by component, all three over that one denominator."""
     if isinstance(sources[0].items()[0][1], tuple):
-        zero, convert = Components((Fraction(0),) * 3), lambda v: Components(map(Fraction, v))
+        zero, read = Components((Fraction(0),) * 3), lambda v: Components(map(Fraction, v))
     else:
-        zero, convert = Fraction(0), Fraction
-    acc, conflict, lost, _ = tuple_walk(sources, plan, zero=zero, convert=convert)
+        zero, read = Fraction(0), Fraction
+    acc, conflict, lost, _ = tuple_walk(sources, plan, zero=zero, read=read)
     sums = (*acc.values(), conflict, lost)
     den = lcm(*(x.denominator for x in itertools.chain(*(
         s if isinstance(s, tuple) else (s,) for s in sums))))
