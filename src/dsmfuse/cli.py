@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
 from .lattice import Frame, Model, expressions
-from .mass import format_set
+from .mass import PreciseMass, format_set
 from .neutro import NeutrosophicTriple
 from .scenario import _format_value, load_scenario, run
 
@@ -166,8 +166,7 @@ def _json_text(value, precision, pad):
         return _NONFINITE.get(text, text)
     if isinstance(value, NeutrosophicTriple):
         # a fused triple's components are points: read each off its one piece
-        inner = pad + "  "
-        return _json_wrap([inner + _json_text(c.pieces[0].lower, precision, inner)
+        return _json_wrap([f"{pad}  {_json_text(c.pieces[0].lower, precision, pad)}"
                            for c in value.components()], pad, "[]")
     return _json_str(format_set(value, precision))
 
@@ -200,7 +199,8 @@ def _json_rows(bitsets, texts, labels, pad, distinct=False):
 
 def _json_head(frame, model):
     """The "frame" and "model" members every JSON document opens with."""
-    constraints = _json_strings([c.expr(style="ascii") for c in model.constraints], "    ")
+    constraints = _json_strings(expressions(
+        model.frame.labels, "ascii", [c.bits for c in model.constraints]), "    ")
     model_doc = _json_wrap([f'    "kind": {_json_str(model.kind)}',
                             f'    "constraints": {constraints}'], "  ")
     return [f'  "frame": {_json_strings(frame.labels, "  ")}', f'  "model": {model_doc}']
@@ -214,7 +214,8 @@ def _json_task(r, labels, precision):
         fields.append(f'{pad}"error": {_json_str(f"{type(r.error).__name__}: {r.error}")}')
         return "    " + _json_wrap(fields, "    ")
     mass = r.report.mass.items()
-    texts = [_json_text(v, precision, pad + "  ") for _, v in mass]
+    texts = _json_floats([v for _, v in mass], precision) if isinstance(r.report.mass, PreciseMass) \
+        else [_json_text(v, precision, pad + "  ") for _, v in mass]
     fields.append(f'{pad}"mass": {_json_rows([el.bits for el, _ in mass], texts, labels, pad)}')
     fields.append(f'{pad}"conflict": {_json_text(r.report.conflict, precision, pad)}')
     fields.append(f'{pad}"warnings": {_json_strings(_warnings(r), pad)}')
@@ -245,13 +246,10 @@ def _render_json(scenario, results, precision):
 
 
 def _render_table(scenario, results, precision):
-    lines = []
-    lines.append("frame: " + " ".join(scenario.frame.labels))
-    model_text = scenario.model.kind
-    if scenario.model.constraints:
-        model_text += " [" + "; ".join(f"{c.expr(style='ascii')} = 0"
-                                       for c in scenario.model.constraints) + "]"
-    lines.append("model: " + model_text)
+    model = scenario.model
+    exprs = expressions(model.frame.labels, "ascii", [c.bits for c in model.constraints])
+    constraints = " [" + "; ".join(map("%s = 0".__mod__, exprs)) + "]" if model.constraints else ""
+    lines = ["frame: " + " ".join(scenario.frame.labels), f"model: {model.kind}{constraints}"]
     # one compare table per compare task; a fuse task has one result
     for _, group in groupby(results, key=lambda r: id(r.task)):
         group = list(group)
@@ -287,7 +285,7 @@ def _single_block(r, labels, precision):
         lines.append("pignistic:")
         lines += map(row, keys, _table_floats(r.pignistic.values, precision))
     if r.decision is not None:
-        lines.append(f"decision: {_decision_text(r.decision, precision)}")
+        lines += map("decision: %s".__mod__, _decision_texts([r.decision], labels, precision))
     lines += map("warning: {}".format, _warnings(r))
     return lines
 
@@ -297,10 +295,11 @@ def _warnings(r):
     return [*r.report.warnings, *(() if r.pignistic is None else r.pignistic.warnings)]
 
 
-def _decision_text(d, precision):
-    """A decision as the tables print it: choice, score and any tie."""
-    tie = " (tie)" if d.tie else ""
-    return f"{d.choice.expr(style='ascii')} ({_format_value(d.score, precision)}){tie}"
+def _decision_texts(decisions, labels, precision):
+    """Decisions as the tables print them: choice, score and any tie."""
+    choices = expressions(labels, "ascii", [d.choice.bits for d in decisions])
+    return [f"{c} ({_format_value(d.score, precision)}){' (tie)' if d.tie else ''}"
+            for c, d in zip(choices, decisions)]
 
 
 def _table_floats(values, precision):
@@ -330,8 +329,9 @@ def _compare_table(results, labels, precision):
     lines = ["", *map(row.format, ["element", *keys, "conflict"], *columns)]
     lines += [f"note: {r.rule}: {w}" for r in results for w in (
         r.report.warnings if r.error is None else [f"{type(r.error).__name__}: {r.error}"])]
-    decided = [f"decision[{r.rule}]: {_decision_text(r.decision, precision)}"
-               for r in results if r.decision is not None]
+    decided = [r for r in results if r.decision is not None]
+    decided = [f"decision[{r.rule}]: {text}" for r, text in zip(
+        decided, _decision_texts([r.decision for r in decided], labels, precision))]
     return lines + ([""] + decided if decided else [])
 
 

@@ -126,7 +126,8 @@ class _Density(namedtuple("_Density", "tables empty den")):
     def over(self, bitsets):
         """The value of each bitset, its exact sum rounded once; bitsets
         hold the empty element first, as alive bitsets do."""
-        values = array("d", map(truediv, _column_fold(add, self.tables, bitsets), repeat(self.den)))
+        sums = _column_fold(add, [t.__getitem__ for t in self.tables], bitsets)
+        values = array("d", map(truediv, sums, repeat(self.den)))
         if self.empty:
             values[0] = self.empty / self.den
         return values

@@ -107,28 +107,29 @@ def _minimal(n, bits):
 @lru_cache(maxsize=32)
 def _terms(labels, unicode):
     """Rendering table for a frame's labels: the union symbol, the
-    expression of the empty bitset and of each one-part bitset, the tables
-    of _part_tables, and per byte of a rank-ordered bitset its terms as
-    printed inside a union of two or more terms, each led by the union
-    symbol ("" for no term), so such a row is the entries' concatenation
-    less its leading symbol."""
+    expression of the empty bitset and of each one-part bitset, then as
+    _column_fold's lookups the tables of _part_tables and per byte of a
+    rank-ordered bitset its terms as printed inside a union of two or more
+    terms, each led by the union symbol ("" for no term), so such a row is
+    the entries' concatenation less its leading symbol."""
     inter, union, empty = ("∩", "∪", "∅") if unicode else ("&", "|", "{}")
     keep, ranked, order = _part_tables(len(labels))
     bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1)
             for s in range(1, 1 << len(labels))]
     paren = [union + (bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})") for s in order]
     singles = dict(zip([0] + [1 << p for p in range(len(bare))], [empty] + bare))
-    return union, singles, keep, ranked, _per_byte(paren, "", add)
+    return union, singles, *([t.__getitem__ for t in tables]
+                             for tables in (keep, ranked, _per_byte(paren, "", add)))
 
 
-def _column_fold(join, tables, bitsets, *start):
-    """Per bitset, join over its bytes k of table k's entry, after its item of
-    start if given: one map per byte column, a stride of the packed bytes."""
+def _column_fold(join, lookups, bitsets, *start):
+    """Per bitset, join over its bytes k of lookups[k] (a table's __getitem__),
+    after its item of start if given: one map per byte column of the packing."""
     packed = array("Q", bitsets)
     if sys.byteorder == "big":
         packed.byteswap()
     raw = packed.tobytes()
-    entries = map(map, [t.__getitem__ for t in tables], [raw[k::8] for k in range(len(tables))])
+    entries = map(map, lookups, [raw[k::8] for k in range(len(lookups))])
     return reduce(partial(map, join), entries, *start)
 
 

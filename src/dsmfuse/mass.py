@@ -32,7 +32,8 @@ right operand, so it, like + and * on two sets of several pieces, merges.
 
 import re
 from collections import namedtuple
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 from .errors import (
     EmptyOperand,
@@ -262,10 +263,7 @@ def sum_sets(sets):
     sets = list(sets)
     if not sets:
         raise EmptyOperand("nothing to sum")
-    acc = sets[0]
-    for s in sets[1:]:
-        acc = acc + s
-    return acc
+    return reduce(add, sets)
 
 
 # --- text form ---------------------------------------------------------------
@@ -359,13 +357,10 @@ class _MassBase:
         object.__setattr__(self, "allows_empty_focal", allows_empty_focal)
         store = {}
         for el, value in masses.items():
-            if el.frame != frame:
+            if el.frame is not frame and el.frame != frame:
                 raise FrameMismatch("focal element belongs to a different frame")
-            store[el] = value
-        object.__setattr__(
-            self, "_masses",
-            dict(sorted(store.items(), key=lambda kv: (kv[0].bits.bit_count(), kv[0].bits)))
-        )
+            store[el.bits.bit_count(), el.bits] = el, value
+        object.__setattr__(self, "_masses", dict(map(store.__getitem__, sorted(store))))
 
     def __setattr__(self, name, value):
         raise AttributeError("mass functions are immutable")

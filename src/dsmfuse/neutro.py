@@ -49,7 +49,17 @@ class NeutrosophicTriple:
 
     @property
     def is_point(self):
-        return self.truth.is_point and self.indeterminacy.is_point and self.falsehood.is_point
+        return self._points() is not None
+
+    def _points(self):
+        """The three points, or None unless each component is one piece with
+        lower == upper (never so for NaN)."""
+        points = ()
+        for c in self.components():
+            if len(c.pieces) != 1 or c.pieces[0][0] != c.pieces[0][1]:
+                return None
+            points += (c.pieces[0][0],)
+        return points
 
     def as_points(self):
         return (self.truth.as_point(), self.indeterminacy.as_point(), self.falsehood.as_point())
@@ -151,10 +161,9 @@ class TripleMass(_MassBase):
             if not isinstance(trip, NeutrosophicTriple):
                 problems.append(f"value on {el.expr()} is not a triple")
                 continue
-            if not trip.is_point:
+            if (points := trip._points()) is None:
                 problems.append(f"fusion needs point components on {el.expr()}")
                 continue
-            points = trip.as_points()
             for name, comp in zip("TIF", points):
                 if not -tol <= comp <= 1 + tol:
                     problems.append(f"{name} component {comp} on {el.expr()} outside [0,1]")
@@ -200,7 +209,7 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     conflict is the truth component of the mass counted as conflict."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
     # every focal triple is kept: a tuple is never equal to 0.0
-    points = [_MassBase(m.frame, {el: _PointTriple(trip.as_points()) for el, trip in m.items()})
+    points = [_MassBase(m.frame, {el: _PointTriple(trip._points()) for el, trip in m.items()})
               for m in sources]
     if name == "nnorm[algebraic]":
         acc, conflict, _, den = _fold(points, plan(model))

@@ -17,15 +17,18 @@ element, so the loops' dicts hash them at C speed. The plans:
   every component is itself forbidden, to the union of their component
   hypotheses (S2), falling back to total ignorance. The empty element,
   which may carry a speck of mass, is forbidden and names no hypothesis.
-  On the free lattice this is the classic rule;
-- meet: a forbidden intersection is conflict and lands on the plan's dead
-  target: nowhere for dempster, which normalizes it away, the empty
-  element (0) for smets and total ignorance for yager;
-- join: each tuple lands on the union of its focal elements;
-- pair: the state is the two focal bitsets. dubois_prade retries the
-  union of a forbidden intersection and drops the mass whose union is
-  forbidden too; the degree-weighted rules weight each pair by exact
-  ratios of alive part counts.
+  On the free lattice this is the classic rule. Its states keep raw bits,
+  as S3 reads the minimal parts of the raw meet;
+- meet and join fold alive bitsets, the focal bitsets reduced by the
+  model (reduction commutes with & and |), so their cost grows with the
+  reduced lattice's distinct states. An empty meet is conflict and lands
+  on the plan's dead target: nowhere for dempster, which normalizes it
+  away, the empty element (0) for smets and total ignorance for yager; a
+  join lands each tuple on the union of its focal elements;
+- pair: the state is the two raw focal bitsets, as no third source folds
+  onto them. dubois_prade retries the union of a forbidden intersection
+  and drops the mass whose union is forbidden too; the degree-weighted
+  rules weight each pair by exact ratios of alive part counts.
 
 Two loops run the plans. `_fold` runs every product rule: dsm_classic,
 dsm_hybrid, dempster, smets, yager, disjunctive, dubois_prade, the three
@@ -298,16 +301,16 @@ def _transfer_plan(model, s3_target):
 
 
 def _meet_plan(model, dead=None):
-    """A live meet keeps its mass; a forbidden one is conflict and lands on
-    dead: None (nowhere), 0 (the empty element) or a bitset."""
+    """On alive facts: a nonempty meet keeps its mass; an empty one is
+    conflict and lands on dead: None (nowhere), 0 (the empty element) or a bitset."""
     alive = ~model.emptied
-    return (attrgetter("bits"), and_,
-            lambda meet: (meet & alive, None, False) if meet & alive else (dead, None, True))
+    return (lambda el: el.bits & alive, and_,
+            lambda meet: (meet, None, False) if meet else (dead, None, True))
 
 
 def _join_plan(model):
     alive = ~model.emptied
-    return attrgetter("bits"), or_, lambda join: (join & alive, None, False)
+    return lambda el: el.bits & alive, or_, lambda join: (join, None, False)
 
 
 # --- classic and transfer rules ----------------------------------------------

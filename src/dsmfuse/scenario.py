@@ -41,7 +41,7 @@ from . import neutro, rules
 from .decision import decide as decide_fn
 from .decision import bel, bel_pl_tables, gpt, pl  # noqa: F401 - perfbench's tracer wraps bel and pl
 from .errors import DsmError, ParseError, ValidationError
-from .lattice import Frame, LatticeElement, Model, _label_atoms
+from .lattice import Frame, LatticeElement, Model, _label_atoms, expressions
 from .mass import (
     _JOIN_RE, _NUM, ImpreciseMass, PreciseMass, SubunitarySet, _fmt_num, format_set, parse_set,
 )
@@ -445,14 +445,15 @@ def load_scenario(path):
 
 def emit_scenario(scenario):
     """Text form that parses back to an equal Scenario."""
-    lines = ["frame: " + " ".join(scenario.frame.labels)]
-    lines.append(f"model: {scenario.model.kind}")
-    for c in scenario.model.constraints:
-        lines.append(f"constraint: {c.expr(style='ascii')} = 0")
+    model = scenario.model
+    lines = ["frame: " + " ".join(scenario.frame.labels), f"model: {model.kind}"]
+    lines += map("constraint: %s = 0".__mod__, expressions(
+        model.frame.labels, "ascii", [c.bits for c in model.constraints]))
     for name, mass in scenario.sources:
         lines.append(f"source {name}:")
-        for el, v in mass.items():
-            lines.append(f"  {el.expr(style='ascii')} = {_format_value(v)}")
+        items = mass.items()
+        exprs = expressions(mass.frame.labels, "ascii", [el.bits for el, _ in items])
+        lines += [f"  {e} = {_format_value(v)}" for e, (_, v) in zip(exprs, items)]
     for task in scenario.tasks:
         tokens = [(task.rule or default_rule(scenario)) if task.kind == "fuse" else "compare"]
         tokens += [f"{k}={v}" for k, v in task.params]
@@ -573,7 +574,7 @@ def _dispatch(scenario, task, rid):
     kinds, _, call = _RULES.get(rid, ("", "", None))
     word = kind.removesuffix("Mass").lower()
     if word not in kinds.split():
-        raise ValidationError([f"unknown rule {rid!r}" if word == "precise"
-                               else f"rule {rid!r} does not take {word} sources"])
+        raise ValidationError([f"rule {rid!r} does not take {word} sources" if call
+                               else f"unknown rule {rid!r}"])
     return call([m for _, m in scenario.sources], scenario.model, s3,
                 task.param("norm", "algebraic"))

@@ -218,6 +218,19 @@ def test_triple_mass_validation():
         bad_component.check()
 
 
+@pytest.mark.parametrize("truth", ["[0.1,0.2]", "{0.1,0.2}", "nan"],
+                         ids=["interval", "two_points", "nan"])
+def test_triple_validation_names_each_non_point_once(truth):
+    """A component that is not one point piece (NaN is none) gets one
+    message, and no range check reads its triple."""
+    value = SubunitarySet.point(float(truth)) if truth == "nan" else parse_set(truth)
+    trip = NeutrosophicTriple.of(value, 0.0, 0.0)
+    assert not trip.is_point
+    m = TripleMass(F3, {TH1: trip, TH2: NeutrosophicTriple.of(1.5, 0.0, 0.5)})
+    assert m.validate() == [f"fusion needs point components on {TH1.expr()}",
+                            f"T component 1.5 on {TH2.expr()} outside [0,1]"]
+
+
 def test_fusion_rejects_mismatched_sources():
     m1, _ = sample_sources()
     other = TripleMass(Frame(("a", "b")),

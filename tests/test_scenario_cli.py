@@ -545,6 +545,21 @@ REF_OPTION_READERS = {
 }
 
 
+# every rule id the README lists, aliases included
+REF_RULE_IDS = {"dsm_classic", "dsm_hybrid", "dempster", "smets", "yager", "dubois_prade",
+                "disjunctive", "dsmc_improved", "dsmh_improved", "disjunctive_improved", "tnorm",
+                "tconorm", "nnorm", "nconorm", "dsm_classic_imprecise", "dsm_hybrid_imprecise",
+                "nnorm_fusion", "nconorm_fusion"}
+
+
+def ref_refusal(rid, kind):
+    """The refusal of rule rid on sources of kind: unknown exactly when rid
+    names no rule."""
+    if rid not in REF_RULE_IDS:
+        return ValidationError([f"unknown rule {rid!r}"])
+    return ValidationError([f"rule {rid!r} does not take {kind} sources"])
+
+
 def ref_dispatch(scenario, task, rid):
     """The dispatch as first written: a branch per source kind and a lambda
     table for precise sources."""
@@ -563,14 +578,14 @@ def ref_dispatch(scenario, task, rid):
             return neutro.nnorm_fusion(norm, sources, model=model, s3_target=s3)
         if rid in ("nconorm", "nconorm_fusion"):
             return neutro.nconorm_fusion(norm, sources, model=model)
-        raise ValidationError([f"rule {rid!r} does not take triple sources"])
+        raise ref_refusal(rid, "triple")
 
     if kind == "ImpreciseMass":
         if rid in ("dsm_classic", "dsm_classic_imprecise"):
             return rules.dsm_classic(sources)
         if rid in ("dsm_hybrid", "dsm_hybrid_imprecise"):
             return rules.dsm_hybrid(model, sources, s3_target=s3)
-        raise ValidationError([f"rule {rid!r} does not take imprecise sources"])
+        raise ref_refusal(rid, "imprecise")
 
     table = {
         "dsm_classic": lambda: rules.dsm_classic(sources),
@@ -587,7 +602,7 @@ def ref_dispatch(scenario, task, rid):
         "tconorm": lambda: rules.tconorm_fusion(norm, sources, model=model),
     }
     if rid not in table:
-        raise ValidationError([f"unknown rule {rid!r}"])
+        raise ref_refusal(rid, "precise")
     return table[rid]()
 
 
@@ -990,6 +1005,33 @@ def test_fusion_errors_exit_3_with_one_line(text, message, tmp_path, capsys):
     path = tmp_path / "refused.dsm"
     path.write_text(text)
     assert cli.main(["fuse", "--scenario", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+PRECISE_PAIR = "frame: a b\nsource m1:\n  a = 1\nsource m2:\n  b = 1\n"
+IMPRECISE_PAIR = "frame: a b\nsource m1:\n  a = [0.4,1]\nsource m2:\n  b = {1}\n"
+TRIPLE_PAIR = "frame: a b\nsource m1:\n  a = (1, 0, 0)\nsource m2:\n  b = (0, 0, 1)\n"
+
+
+@pytest.mark.parametrize("text,rule,message", [
+    (PRECISE_PAIR, "nnorm", "rule 'nnorm' does not take precise sources"),
+    (PRECISE_PAIR, "dsm_hybrid_imprecise",
+     "rule 'dsm_hybrid_imprecise' does not take precise sources"),
+    (IMPRECISE_PAIR, "dempster", "rule 'dempster' does not take imprecise sources"),
+    (TRIPLE_PAIR, "tconorm", "rule 'tconorm' does not take triple sources"),
+    (PRECISE_PAIR, "entropy_max", "unknown rule 'entropy_max'"),
+    (IMPRECISE_PAIR, "entropy_max", "unknown rule 'entropy_max'"),
+    (TRIPLE_PAIR, "entropy_max", "unknown rule 'entropy_max'"),
+], ids=["nnorm_precise", "imprecise_alias_precise", "dempster_imprecise", "tconorm_triple",
+        "unknown_precise", "unknown_imprecise", "unknown_triple"])
+def test_rule_refusals_say_whether_the_rule_exists(text, rule, message, tmp_path, capsys):
+    """A rule id the table lacks is unknown on every source kind; a known
+    rule that does not take the sources' kind says so."""
+    path = tmp_path / "refused.dsm"
+    path.write_text(text)
+    assert cli.main(["fuse", "--scenario", str(path), "--rule", rule]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

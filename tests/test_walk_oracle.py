@@ -16,15 +16,16 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
-from operator import add, and_, mul, or_, truediv
+from operator import add, and_, attrgetter, mul, or_, truediv
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import neutro, rules
 from dsmfuse.lattice import (
     Frame,
+    LatticeElement,
     Model,
     component_union,
     enumerate_hyper_power_set,
@@ -241,3 +242,67 @@ def test_the_walk_equals_the_tuple_walk(case):
         patch_in_the_oracle(mp)
         want = [outcome(call) for call in calls(model, sources)]
     assert got == want
+
+
+# --- the alive fold against raw facts -------------------------------------------------
+#
+# The meet and join plans fold focal bitsets already reduced by the model. The
+# plans below are those same plans on the raw bitsets, reduced only where a
+# state lands; the sums are exact ints, so the two must agree with ==.
+
+def raw_meet_plan(model, dead=None):
+    alive = ~model.emptied
+    return (attrgetter("bits"), and_,
+            lambda meet: (meet & alive, None, False) if meet & alive else (dead, None, True))
+
+
+def raw_join_plan(model):
+    alive = ~model.emptied
+    return attrgetter("bits"), or_, lambda join: (join & alive, None, False)
+
+
+@st.composite
+def constrained_fusions(draw):
+    """(model, sources): 2-6 precise sources on a shafer or hybrid model of
+    2-5 hypotheses. Focal elements are often forbidden (the meet of an
+    element with a constraint or an overlap of two hypotheses), masses are
+    floats or Fractions, and a source may carry a speck of mass on the
+    empty element."""
+    n = draw(st.integers(2, 5))
+    els = pool(n)
+    frame = els[0].frame
+    kind = draw(st.sampled_from(["shafer", "hybrid"]))
+    model = Model(frame, kind, draw(st.lists(st.sampled_from(els), min_size=int(kind == "hybrid"),
+                                             max_size=2)))
+    assume(not model.is_degenerate())
+    dead = list(model.constraints)
+    if kind == "shafer":
+        dead += [frame.atom(i) & frame.atom(j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    element = st.sampled_from(els)
+    forbidden = st.builds(and_, element, st.sampled_from(dead))
+    sources = []
+    for _ in range(draw(st.integers(2, 6))):
+        focal = draw(st.lists(st.one_of(element, forbidden), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 100), min_size=len(focal), max_size=len(focal)))
+        ratio = draw(st.sampled_from([Fraction, truediv]))
+        masses = {e: ratio(w, sum(weights)) for e, w in zip(focal, weights)}
+        if draw(st.integers(0, 4)) == 0:
+            masses[LatticeElement(frame, 0)] = ratio(1, 10 ** 10)
+        sources.append(PreciseMass(frame, masses))
+    return model, sources
+
+
+@settings(max_examples=100, deadline=None)
+@given(constrained_fusions())
+def test_the_alive_plans_fold_as_the_raw_plans(case):
+    model, sources = case
+    it = model.reduce(model.frame.total_ignorance()).bits
+    # dempster, smets, yager and the disjunctive rule
+    pairs = [(rules._meet_plan(model, dead), raw_meet_plan(model, dead)) for dead in (None, 0, it)]
+    pairs.append((rules._join_plan(model), raw_join_plan(model)))
+    for alive_plan, raw_plan in pairs:
+        assert rules._fold(sources, alive_plan) == rules._fold(sources, raw_plan)
+    # the T-conorms walk the join plan
+    for kernel in rules.TCONORMS.values():
+        assert (rules._walk(sources, rules._join_plan(model), kernel)
+                == rules._walk(sources, raw_join_plan(model), kernel))
