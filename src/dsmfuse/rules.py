@@ -65,10 +65,11 @@ every value is a point take the fold and come back as point sets, so they
 reproduce the precise rules bit for bit.
 
 Both loops hand back the same result: sums on int keys, the conflict and
-the dropped mass, each standing for itself over a denominator (1 for the
-walk). `_report` is where they become elements and a precise rule's
-report, each sum divided once; set-valued sums and neutro's triples take
-their elements from the same int keys.
+the dropped mass (none on the walk, whose plans weigh and drop nothing),
+each standing for itself over a denominator (1 for the walk). `_report`
+is where they become elements and a precise rule's report, each sum
+divided once; set-valued sums and neutro's triples take their elements
+from the same int keys.
 """
 
 from dataclasses import dataclass, replace
@@ -153,13 +154,14 @@ def _walk(sources, plan, kernel=mul, add=add, zero=0.0, read=None):
     under the value algebra kernel, add, zero and read (None keeps a value).
 
     Returns what _fold returns, over den 1: (sums per int key, conflict,
-    mass dropped on key None, 1), sums as walk values.
+    zero, 1), sums as walk values. The plans walked here (transfer and
+    join) land every tuple on a key, unweighted, so nothing is dropped.
     """
     facts, step, land = plan
     first, *middle, last = [[(facts(el), v if read is None else read(v))
                              for el, v in _focal_items(m)] for m in sources]
     landed, rows, acc = {}, {}, {}
-    conflict = lost = zero
+    conflict = zero
     # (prefix state, value, middle sources folded); reversed pops in tuple order
     stack = [(s, v, 0) for s, v in reversed(first)]
     while stack:
@@ -176,16 +178,12 @@ def _walk(sources, plan, kernel=mul, add=add, zero=0.0, read=None):
                 if final not in landed:
                     landed[final] = land(final)
                 row.append((*landed[final], w))
-        for key, weight, dead, w in row:
+        for key, _, dead, w in row:
             x = kernel(v, w)
-            value = x if weight is None else weight * x
             if dead:
                 conflict = add(conflict, x)
-            if key is None:
-                lost = add(lost, value)
-            else:
-                acc[key] = add(acc.get(key, zero), value)
-    return acc, conflict, lost, 1
+            acc[key] = add(acc.get(key, zero), x)
+    return acc, conflict, zero, 1
 
 
 def _over_one_den(values):

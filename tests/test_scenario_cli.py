@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -76,10 +77,41 @@ def test_expression_errors_carry_positions():
         parse_element(f, "a b")
     with pytest.raises(ParseError):
         parse_element(f, "")
-    # nesting is capped before the recursive parser runs out of stack
+    # nesting is capped at MAX_NESTING open parentheses
     assert parse_element(f, "(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == f.atom(1)
     with pytest.raises(ParseError, match="nested deeper"):
         parse_element(f, "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1))
+
+
+def test_max_nesting_needs_no_call_stack_per_level():
+    """Open parentheses wait on a list, not on the call stack: the deepest
+    accepted expression parses with only 50 frames to spare."""
+    f = Frame(("a", "b"))
+    text = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        element = parse_element(f, text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert element == f.atom(1)
+
+
+@pytest.mark.parametrize("text,message,column", [
+    ("a & ) $", "bad character '$' in expression", 7),
+    ("a b " + "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1),
+     f"parentheses nested deeper than {MAX_NESTING}", 5 + MAX_NESTING),
+    ("zz & b $", "bad character '$' in expression", 8),
+], ids=["bad_character_after_a_grammar_error", "deep_nesting_after_a_grammar_error",
+        "bad_character_after_an_unknown_label"])
+def test_character_errors_outrank_grammar_errors(text, message, column):
+    """A bad character or too deep a nesting anywhere in the text is reported
+    before an earlier grammar error, as the reference tokenizer does."""
+    with pytest.raises(ParseError) as err:
+        parse_element(ORACLE_FRAME, text, line=4)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{message} (line 4, col {column})", 4, column)
+    assert _parse_outcome(ref_parse_element, text) == ("error", str(err.value), 4, column)
 
 
 _REF_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -1008,6 +1040,29 @@ def test_fusion_errors_exit_3_with_one_line(text, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_scenario_without_sources_is_refused_as_one_source_is(tmp_path, capsys):
+    """No sources are fewer than two, not a mix of kinds: the same exit 3
+    and message as one source, and under --compare the same note per rule."""
+    outcomes = []
+    for text in ("frame: a b\n", "frame: a b\nsource m1:\n  a = 1\n"):
+        path = tmp_path / "few.dsm"
+        path.write_text(text)
+        outcomes.append([(cli.main(["fuse", "--scenario", str(path), *extra]), capsys.readouterr())
+                         for extra in ([], ["--compare"])])
+    assert outcomes[0] == outcomes[1]
+    (code, single), (compare_code, compare) = outcomes[0]
+    assert (code, single.out) == (3, "")
+    assert single.err == "error: FewerThanTwoSources: dsm_hybrid needs at least two sources\n"
+    assert compare_code == 0
+    assert [line for line in compare.out.splitlines() if line.startswith("note: ")] == [
+        f"note: {rid}: FewerThanTwoSources: {rid} needs at least two sources"
+        for rid in COMPARE_RULES]
+    # sources of two kinds keep their own refusal
+    path.write_text("frame: a b\nsource p:\n  a = 1\nsource t:\n  a = (1, 0, 0)\n")
+    assert cli.main(["fuse", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: sources mix mass kinds; fuse like with like\n"
 
 
 PRECISE_PAIR = "frame: a b\nsource m1:\n  a = 1\nsource m2:\n  b = 1\n"
