@@ -6,7 +6,7 @@
     dsmfuse lattice --n 3 [--model demo.dsm] [--format table|json] [--max-frame 5]
 
 Exit codes: 0 success, 2 parse or validation error, 3 rule error,
-4 resource limit (frame larger than --max-frame allows).
+4 resource limit (frame larger than --max-frame allows, or memory ran out).
 """
 
 import argparse
@@ -76,6 +76,9 @@ def main(argv=None):
         return EXIT_PARSE
     except FrameTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except DsmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

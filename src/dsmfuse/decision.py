@@ -2,8 +2,9 @@
 
 Subset and overlap tests run on model-reduced bitsets, so a query element
 and a focal element compare the way the model sees them; a mass's focal
-elements are reduced once per table, and each query sums over the reduced
-(bitset, value) pairs in the mass's order.
+elements are reduced once per table, and each query sums bel and pl, plain
+or weighted, in one pass over the reduced (bitset, value) pairs in the
+mass's order.
 
 The pignistic transform GPT(A) = sum over focal X of m(X) |X meet A| / |X|
 counts cardinalities in alive parts, so it is the sum over A's parts p of
@@ -40,80 +41,59 @@ def _reduced_items(m, model):
     return [(model.reduce(el).bits, v) for el, v in m.items()]
 
 
-def _bel(items, ra):
-    total = 0.0
-    for rx, v in items:
-        if rx and rx & ~ra == 0:
-            total += v
-    return total
-
-
-def _pl(items, ra):
-    total = 0.0
-    for rx, v in items:
-        if rx & ra:
-            total += v
-    return total
-
-
-def _bel_improved(items, ra):
-    ca = ra.bit_count()
-    if ca == 0:
-        raise EmptyArgument("weighted belief undefined on a forbidden element")
-    total = 0.0
-    for rx, v in items:
-        if rx and rx & ~ra == 0:
-            total += v * rx.bit_count() / ca
-    return total
-
-
-def _pl_improved(items, ra):
-    if ra == 0:
-        raise EmptyArgument("weighted plausibility undefined on a forbidden element")
-    total = 0.0
+def _bel_pl(items, ra, weighted=None):
+    """bel and pl of the query bitset ra, summed over reduced focal items
+    (rx, v) in their order: pl takes each rx meeting ra, bel each rx inside
+    it. weighted, "belief" or "plausibility" for the form asked, weights bel
+    by |rx| / |ra| and pl by |rx meet ra| / |rx join ra|, and refuses a
+    forbidden ra in that form's words."""
+    if weighted and not ra:
+        raise EmptyArgument(f"weighted {weighted} undefined on a forbidden element")
+    ca, b, p = ra.bit_count(), 0.0, 0.0
     for rx, v in items:
         inter = rx & ra
         if inter:
-            total += v * inter.bit_count() / (rx | ra).bit_count()
-    return total
+            p += v * inter.bit_count() / (rx | ra).bit_count() if weighted else v
+            if inter == rx:
+                b += v * rx.bit_count() / ca if weighted else v
+    return b, p
 
 
-def _query(form, m, a, model):
-    """form over m's reduced focal items and a's reduced bitset."""
+def _query(m, a, model, weighted=None):
+    """bel and pl of a over m's reduced focal items."""
     model = model or Model.free(m.frame)
     ra = model.reduce(a).bits
-    return form(_reduced_items(m, model), ra)
+    return _bel_pl(_reduced_items(m, model), ra, weighted)
 
 
 def bel(m, a, model=None):
     """Total mass of focal elements contained in a (empty ones aside)."""
-    return _query(_bel, m, a, model)
+    return _query(m, a, model)[0]
 
 
 def pl(m, a, model=None):
     """Total mass of focal elements overlapping a."""
-    return _query(_pl, m, a, model)
+    return _query(m, a, model)[1]
 
 
 def bel_improved(m, a, model=None):
     """Inclusion-weighted belief: each contained focal element counts in
     proportion to its share of a's cardinality."""
-    return _query(_bel_improved, m, a, model)
+    return _query(m, a, model, "belief")[0]
 
 
 def pl_improved(m, a, model=None):
     """Overlap-weighted plausibility: each overlapping focal element counts
     by its overlap fraction |x meet a| / |x join a|."""
-    return _query(_pl_improved, m, a, model)
+    return _query(m, a, model, "plausibility")[1]
 
 
 def bel_pl_tables(m, model):
     """bel and pl of each focal element of m, keyed by it, from one
-    reduction of m's focal elements."""
+    reduction of m's focal elements and one pass per element."""
     items = _reduced_items(m, model)
-    keys = m.elements()
-    return (dict(zip(keys, [_bel(items, rx) for rx, _ in items])),
-            dict(zip(keys, [_pl(items, rx) for rx, _ in items])))
+    rows = {x: _bel_pl(items, rx) for x, (rx, _) in zip(m.elements(), items)}
+    return {x: b for x, (b, _) in rows.items()}, {x: p for x, (_, p) in rows.items()}
 
 
 class _Density(namedtuple("_Density", "tables empty den")):

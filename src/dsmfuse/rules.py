@@ -267,7 +267,9 @@ def _transfer_plan(model, s3_target):
     """The state is the raw meet, the OR of the focal elements' component
     unions while every one is forbidden (else None), and what the s3 target
     reads: the meet of the upward closures for components, the join for
-    union."""
+    union; any other s3 target is refused."""
+    if s3_target not in (S3_COMPONENTS, S3_UNION):
+        raise ValidationError([f"unknown s3 target {s3_target!r}"])
     n, alive = model.frame.n, ~model.emptied
     it = model.reduce(model.frame.total_ignorance()).bits
     components = s3_target == S3_COMPONENTS
@@ -326,14 +328,21 @@ def dsm_hybrid(model, sources, s3_target=S3_COMPONENTS):
     return _dsm_rule("dsm_hybrid", model, sources, s3_target)
 
 
-# The imprecise spellings name the same rules; reports on imprecise
-# sources carry them.
-dsm_classic_imprecise = dsm_classic
-dsm_hybrid_imprecise = dsm_hybrid
+# The imprecise spellings are the same rules on imprecise sources only;
+# reports on imprecise sources carry them, whichever spelling fused them.
+def dsm_classic_imprecise(sources):
+    return _dsm_rule("dsm_classic", None, sources, S3_COMPONENTS, True)
 
 
-def _dsm_rule(rule, model, sources, s3_target):
-    imprecise = bool(sources) and isinstance(sources[0], ImpreciseMass)
+def dsm_hybrid_imprecise(model, sources, s3_target=S3_COMPONENTS):
+    return _dsm_rule("dsm_hybrid", model, sources, s3_target, True)
+
+
+def _dsm_rule(rule, model, sources, s3_target, imprecise=None):
+    """The DSm rule called rule; imprecise fixes the sources' kind, and
+    None reads it off the first source."""
+    if imprecise is None:
+        imprecise = bool(sources) and isinstance(sources[0], ImpreciseMass)
     if imprecise:
         rule += "_imprecise"
     wanted = ImpreciseMass if imprecise else PreciseMass

@@ -70,7 +70,7 @@ MAX_NESTING = 100
 def parse_element(frame, text, line=None):
     """Expression over the frame's labels with & (meet), | (join), parens,
     read in one pass: "(" stacks its level's join of finished terms and
-    pending meet. A grammar error first lets _check_characters report a bad
+    pending meet. A grammar error first lets _raise_at report a bad
     character or too deep a nesting anywhere in the text."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
@@ -107,29 +107,24 @@ def parse_element(frame, text, line=None):
         else:
             message = "expected closing parenthesis" if stack else f"unexpected {tok!r}"
             break
-    _check_characters(text, line)
-    raise ParseError(message, line, _column(text, k) + 1)
+    _raise_at(text, k, message, line)
 
 
-def _column(text, k):
-    """0-based column of token k of text; the end of text past the last token."""
+def _raise_at(text, k, message, line):
+    """Raise message at token k of text, or at its end past the last token,
+    unless the text holds a character that is no token or a parenthesis
+    nested deeper than MAX_NESTING: one scan raises the first of those."""
+    depth, column = 0, len(text)
     for j, m in enumerate(_TOKEN_RE.finditer(text)):
-        if j == k:
-            return m.start()
-    return len(text)
-
-
-def _check_characters(text, line):
-    """Raise on the first character that is no token, or the first
-    parenthesis nested deeper than MAX_NESTING."""
-    depth = 0
-    for m in _TOKEN_RE.finditer(text):
         tok = m.group(1)
         if not tok:
             raise ParseError(f"bad character {m.group(0)!r} in expression", line, m.start() + 1)
         depth += (tok == "(") - (tok == ")")
         if depth > MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, m.start() + 1)
+        if j == k:
+            column = m.start()
+    raise ParseError(message, line, column + 1)
 
 
 # --- scenario data -------------------------------------------------------------
@@ -466,9 +461,11 @@ COMPARE_RULES = ("dsm_classic", "dempster", "smets", "yager", "dubois_prade", "d
 # when it runs, so a patched module attribute is the one called.
 _RULES = {
     "dsm_classic": ("precise imprecise", "", lambda s, m, s3, norm: rules.dsm_classic(s)),
-    "dsm_classic_imprecise": ("imprecise", "", lambda s, m, s3, norm: rules.dsm_classic(s)),
+    "dsm_classic_imprecise": ("imprecise", "",
+                              lambda s, m, s3, norm: rules.dsm_classic_imprecise(s)),
     "dsm_hybrid": ("precise imprecise", "s3", lambda s, m, s3, norm: rules.dsm_hybrid(m, s, s3)),
-    "dsm_hybrid_imprecise": ("imprecise", "s3", lambda s, m, s3, norm: rules.dsm_hybrid(m, s, s3)),
+    "dsm_hybrid_imprecise": ("imprecise", "s3",
+                             lambda s, m, s3, norm: rules.dsm_hybrid_imprecise(m, s, s3)),
     "dempster": ("precise", "", lambda s, m, s3, norm: rules.dempster(m, s)),
     "smets": ("precise", "", lambda s, m, s3, norm: rules.smets(m, s)),
     "yager": ("precise", "", lambda s, m, s3, norm: rules.yager(m, s)),

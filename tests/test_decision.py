@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dsmfuse.decision import (
     bel,
     bel_improved,
+    bel_pl_tables,
     cpt,
     decide,
     gpt,
@@ -326,3 +327,111 @@ def test_decide_needs_candidates():
     dist = gpt(dead, m)
     with pytest.raises(EmptyCandidates):
         decide(dist)
+
+
+# --- bel and pl in one pass: the four loops it replaced, as the oracle ------------
+
+def ref_reduced_items(m, model):
+    """(reduced bitset, value) per focal element of m, in m's order."""
+    return [(model.reduce(el).bits, v) for el, v in m.items()]
+
+
+def ref_bel(items, ra):
+    total = 0.0
+    for rx, v in items:
+        if rx and rx & ~ra == 0:
+            total += v
+    return total
+
+
+def ref_pl(items, ra):
+    total = 0.0
+    for rx, v in items:
+        if rx & ra:
+            total += v
+    return total
+
+
+def ref_bel_improved(items, ra):
+    ca = ra.bit_count()
+    if ca == 0:
+        raise EmptyArgument("weighted belief undefined on a forbidden element")
+    total = 0.0
+    for rx, v in items:
+        if rx and rx & ~ra == 0:
+            total += v * rx.bit_count() / ca
+    return total
+
+
+def ref_pl_improved(items, ra):
+    if ra == 0:
+        raise EmptyArgument("weighted plausibility undefined on a forbidden element")
+    total = 0.0
+    for rx, v in items:
+        inter = rx & ra
+        if inter:
+            total += v * inter.bit_count() / (rx | ra).bit_count()
+    return total
+
+
+def ref_query(form, m, a, model):
+    """form over m's reduced focal items and a's reduced bitset."""
+    model = model or Model.free(m.frame)
+    ra = model.reduce(a).bits
+    return form(ref_reduced_items(m, model), ra)
+
+
+def ref_bel_pl_tables(m, model):
+    """bel and pl of each focal element of m, keyed by it, from one
+    reduction of m's focal elements."""
+    items = ref_reduced_items(m, model)
+    keys = m.elements()
+    return (dict(zip(keys, [ref_bel(items, rx) for rx, _ in items])),
+            dict(zip(keys, [ref_pl(items, rx) for rx, _ in items])))
+
+
+def outcome(f, *args):
+    """repr of f's value, or the type and message of what it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 - every error is compared
+        return type(exc), str(exc)
+
+
+# floats, NaN, signed zeros, subnormals and exact Fractions
+MASS_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([float("nan"), 0.0, -0.0, 1e-320, 5e-324]),
+    st.fractions(0, 1, max_denominator=12),
+)
+
+
+@st.composite
+def bel_pl_case(draw):
+    n = draw(st.integers(1, 4))
+    f = Frame(tuple(f"th{i}" for i in range(1, n + 1)))
+    element = st.sampled_from(enumerate_bitsets(n)).map(lambda b: LatticeElement(f, b))
+    kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
+    constraints = [] if kind == "free" else draw(st.lists(element, max_size=2))
+    masses = draw(st.dictionaries(element, MASS_VALUES, max_size=6))
+    if draw(st.booleans()):
+        masses[f.empty()] = draw(st.sampled_from([1e-320, Fraction(1, 10**9)]))
+    # queries anywhere in the free lattice, forbidden and empty ones included
+    queries = draw(st.lists(element, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        queries.append(Frame(f.labels + ("other",)).atom(1))
+    return Model(f, kind, constraints), PreciseMass(f, masses), queries
+
+
+@given(bel_pl_case())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_bel_pl_matches_the_four_loops(case):
+    model, m, queries = case
+    forms = ((bel, ref_bel), (pl, ref_pl), (bel_improved, ref_bel_improved),
+             (pl_improved, ref_pl_improved))
+    for given_model in (model, None):
+        for a in queries:
+            for form, ref in forms:
+                assert outcome(form, m, a, given_model) == outcome(ref_query, ref, m, a,
+                                                                   given_model)
+    assert outcome(bel_pl_tables, m, model) == outcome(ref_bel_pl_tables, m, model)

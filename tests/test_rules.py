@@ -840,3 +840,31 @@ def test_every_rule_refuses_a_model_that_empties_the_frame():
     for call in calls:
         with pytest.raises(DegenerateModel, match="empties the whole frame"):
             call()
+
+
+@pytest.mark.parametrize("target", ["bogus", None])
+def test_every_s3_reader_refuses_an_unknown_target(target):
+    # a three-hypothesis hybrid frame, where the two targets land apart
+    model = Model.hybrid(F3, [TH1 & TH2])
+    m1, m2 = two_reports()
+    calls = [
+        lambda: dsm_hybrid(model, [m1, m2], target),
+        lambda: dsm_hybrid_imprecise(model, [lift(m1), lift(m2)], target),
+        lambda: dsmh_improved(model, [m1, m2], target),
+        lambda: tnorm_fusion("algebraic", [m1, m2], model, target),
+        lambda: nnorm_fusion("algebraic", TRIPLES, model, target),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.problems == [f"unknown s3 target {target!r}"]
+
+
+def test_imprecise_spellings_refuse_precise_sources():
+    m1, m2 = two_reports()
+    with pytest.raises(TypeError, match="dsm_classic_imprecise expects ImpreciseMass"):
+        dsm_classic_imprecise([m1, m2])
+    with pytest.raises(TypeError, match="dsm_hybrid_imprecise expects ImpreciseMass"):
+        dsm_hybrid_imprecise(Model.free(F3), [m1, m2])
+    assert dsm_classic_imprecise([lift(m1), lift(m2)]).rule == "dsm_classic_imprecise"
+    assert dsm_classic([m1, m2]).rule == "dsm_classic"

@@ -1313,3 +1313,31 @@ def test_s3_flag_is_not_refused_where_no_rule_reads_it(tmp_path, capsys):
     plain = capsys.readouterr()
     assert cli.main(["fuse", "--scenario", str(doc), "--s3", "union"]) == 0
     assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("rid", ["dsm_classic_imprecise", "dsm_hybrid_imprecise"])
+def test_imprecise_spellings_name_themselves_when_sources_are_missing(rid, tmp_path, capsys):
+    # with no sources and with one imprecise source the refusal is the same,
+    # and names the id asked for, not its precise twin
+    outcomes = []
+    for sources in ("", "source m1:\n  a = [0.3,0.5]\n  b = [0.5,0.7]\n"):
+        path = tmp_path / "few.dsm"
+        path.write_text("frame: a b\n" + sources)
+        code = cli.main(["fuse", "--scenario", str(path), "--rule", rid])
+        outcomes.append((code, capsys.readouterr()))
+    want = f"error: FewerThanTwoSources: {rid} needs at least two sources\n"
+    assert [(code, out.out, out.err) for code, out in outcomes] == [(3, "", want)] * 2
+
+
+def test_running_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    doc = tmp_path / "two.dsm"
+    doc.write_text("frame: a b\nsource m1:\n  a = 1.0\nsource m2:\n  b = 1.0\n")
+    monkeypatch.setattr(cli, "run", exhausted)
+    monkeypatch.setattr(Model, "alive_bits", exhausted)
+    for argv in (["fuse", "--scenario", str(doc), "--decide"], ["lattice", "--n", "3"],
+                 ["lattice", "--model", str(doc), "--format", "json"]):
+        assert cli.main(argv) == 4
+        assert capsys.readouterr() == ("", "error: out of memory\n")
