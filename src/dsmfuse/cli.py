@@ -265,11 +265,8 @@ def _render_table(scenario, results, precision):
 
 
 def _single_block(r, labels, precision):
-    name = r.report.rule if r.report is not None else r.rule
-    lines = ["", f"rule: {name}"]
-    if r.error is not None:
-        lines.append(f"error: {type(r.error).__name__}: {r.error}")
-        return lines
+    # only compare entries carry an error: a fuse task's rule error is raised
+    lines = ["", f"rule: {r.report.rule}"]
     mass = r.report.mass.items()
     rows = dict(zip(expressions(labels, "ascii", [el.bits for el, _ in mass]),
                     [_format_value(v, precision) for _, v in mass]))

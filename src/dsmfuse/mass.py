@@ -121,10 +121,14 @@ class SubunitarySet:
     __slots__ = ("pieces",)
 
     def __init__(self, pieces):
-        _set_pieces(self, tuple(map(_piece, _merge(pieces))))
+        # a plain tuple is checked as Piece checks it; a Piece already is
+        pieces = _merge(p if isinstance(p, Piece) else Piece(*p) for p in pieces)
+        _set_pieces(self, tuple(map(_piece, pieces)))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):
         raise AttributeError("SubunitarySet is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def point(cls, x):
@@ -312,10 +316,7 @@ def parse_set(text):
             pieces.append(Piece(x, x))
             continue
         raise ParseError(f"cannot parse set piece {part!r}")
-    try:
-        return SubunitarySet(pieces)
-    except ValueError as exc:
-        raise ParseError(f"bad set {text!r}: {exc}") from None
+    return SubunitarySet(pieces)
 
 
 def _fmt_num(x, precision):
@@ -362,8 +363,10 @@ class _MassBase:
             store[el.bits.bit_count(), el.bits] = el, value
         object.__setattr__(self, "_masses", dict(map(store.__getitem__, sorted(store))))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):
         raise AttributeError("mass functions are immutable")
+
+    __delattr__ = __setattr__
 
     def items(self):
         return list(self._masses.items())

@@ -7,23 +7,24 @@ components, leaves accumulated sums unclamped (a component may well exceed
 1 before normalization), and normalizes each output triple by the sum of
 its components.
 
-Triple fusion reads each focal triple as a (t, i, f) point triple once per
-source, and the output components are point sets built directly (see
-mass). The algebraic N-norm is the product componentwise, so the triples
-take the rules' exact fold, all three components in one pass: every sum
+Triple fusion reads each focal triple's (t, i, f) points once per
+source and walks the pairs with the kernel mapped over two such triples;
+the output components are point sets built directly (see mass). The
+algebraic N-norm is the product componentwise, which distributes over +,
+so its triples walk as exact ints over one common denominator: every sum
 is exact and rounded once, and the raw truth channel is the precise
-conjunctive rule exactly. The other kernels walk the pairs with the kernel
-mapped over two such triples.
+conjunctive rule exactly.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import ValidationError, ZeroSum
 from .lattice import LatticeElement
 from .mass import SubunitarySet, _MassBase
 from .rules import (
-    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _fold, _join_plan, _kernel, _over_one_den,
-    _prepare, _transfer_plan, _walk,
+    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join_plan, _kernel, _prepare, _transfer_plan,
+    _walk,
 )
 
 _ONE = SubunitarySet.point(1.0)
@@ -176,48 +177,29 @@ class TripleMass(_MassBase):
         return "TripleMass({" + inner + "})"
 
 
-class _PointTriple(tuple):
-    """(t, i, f) numbers with componentwise arithmetic: the value type
-    triple fusion sums, floats on the walk and ints on the fold. Its
-    integer ratio is three ints over one common denominator, exactly, so
-    the fold carries all three components in one pass."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _PointTriple((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
-
-    def __radd__(self, zero):
-        # 0 + t: the fold starts each sum from the int 0
-        return self + (zero, zero, zero)
-
-    def __mul__(self, other):
-        return _PointTriple((self[0] * other[0], self[1] * other[1], self[2] * other[2]))
-
-    def __rmul__(self, k):
-        # k * t: _over_one_den scales a triple's ints by an int
-        return _PointTriple((k * self[0], k * self[1], k * self[2]))
-
-    def as_integer_ratio(self):
-        ints, den = _over_one_den(self)
-        return _PointTriple(ints), den
-
-
 def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     """Sum the focal pairs with the kernel applied componentwise, drop
     all-zero sums and normalize the rest unless told not to. The reported
-    conflict is the truth component of the mass counted as conflict."""
+    conflict is the truth component of the mass counted as conflict.
+
+    The algebraic N-norm reads each triple as three ints over D, the lcm of
+    the denominators of every component of both sources, so its sums are
+    exact over D * D and each is rounded once, by int true division. The
+    other kernels walk the float points."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
-    # every focal triple is kept: a tuple is never equal to 0.0
-    points = [_MassBase(m.frame, {el: _PointTriple(trip._points()) for el, trip in m.items()})
-              for m in sources]
+    read, den = NeutrosophicTriple._points, 1
     if name == "nnorm[algebraic]":
-        acc, conflict, _, den = _fold(points, plan(model))
-    else:
-        # Exactly two sources, so the kernel always meets two source triples.
-        acc, conflict, _, den = _walk(points, plan(model), lambda a, b: (
-            kernel(a[0], b[0]), kernel(a[1], b[1]), kernel(a[2], b[2])),
-            lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]), (0.0, 0.0, 0.0))
+        d = lcm(*[c.as_integer_ratio()[1] for m in sources for _, t in m.items()
+                  for c in t._points()])
+        den = d * d
+
+        def read(trip):
+            return tuple(n * (d // q) for n, q in map(float.as_integer_ratio, trip._points()))
+    # Exactly two sources, so the kernel always meets two source triples;
+    # every focal triple is kept, as a triple is never equal to 0.0.
+    acc, conflict, _, _ = _walk(sources, plan(model), lambda a, b: (
+        kernel(a[0], b[0]), kernel(a[1], b[1]), kernel(a[2], b[2])),
+        lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]), (0, 0, 0), read)
     frame, point = model.frame, SubunitarySet.point
     out = {}
     for k, (t, i, f) in acc.items():
@@ -225,11 +207,9 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
         if s == 0:
             continue
         if not normalize:
-            s = den  # the raw sums, over the fold's den or the walk's 1
+            s = den  # the raw sums, over D * D or the float walk's 1
         out[LatticeElement(frame, k)] = NeutrosophicTriple(point(t / s), point(i / s), point(f / s))
-    # the fold's conflict is the int 0 when no tuple is dead
-    return FusionReport(name, model, TripleMass(frame, out),
-                        conflict[0] / den if conflict else 0.0)
+    return FusionReport(name, model, TripleMass(frame, out), conflict[0] / den)
 
 
 def nnorm_fusion(kind, sources, model=None, s3_target=S3_COMPONENTS, normalize=True):

@@ -30,15 +30,14 @@ element, so the loops' dicts hash them at C speed. The plans:
   and drops the mass whose union is forbidden too; the degree-weighted
   rules weight each pair by exact ratios of alive part counts.
 
-Two loops run the plans. `_fold` runs every product rule: dsm_classic,
-dsm_hybrid, dempster, smets, yager, disjunctive, dubois_prade, the three
-degree-weighted rules, tnorm[algebraic] and neutro's nnorm[algebraic]. A
-value is a float, a Fraction or neutro's (t, i, f) point triple, whose
-arithmetic is componentwise, so one fold carries all three components.
-Each source's values are scaled exactly onto ints over one common
-denominator, so every product and sum is an exact int and Fractions fuse
-exactly; the fold combines one source at a time over the distinct states
-and lands each final state once, on int keys. Each fused mass, conflict
+Two loops run the plans. `_fold` runs every precise product rule:
+dsm_classic, dsm_hybrid, dempster, smets, yager, disjunctive,
+dubois_prade, the three degree-weighted rules and tnorm[algebraic]. A
+value is a float or a Fraction. Each source's values are scaled exactly
+onto ints over one common denominator, so every product and sum is an
+exact int and Fractions fuse exactly; the fold combines one source at a
+time over the distinct states and lands each final state once, on int
+keys. Each fused mass, conflict
 and dropped mass is rounded once, by int true division, which rounds
 correctly. So the results are the exact sums rounded once, the same
 whatever the order of the sources and of the focal items, and the cost
@@ -49,9 +48,9 @@ the two differ when the inputs do not sum to exactly 1 in binary, and only
 the first gives a lone surviving element exactly 1. Dempster refuses
 (TotalConflict) when the alive total is at most 1e-12.
 
-`_walk` runs what does not distribute over +: the min and bounded T-norms,
-every T-conorm, and set-valued imprecise masses, whose arithmetic is only
-subdistributive ({1}, {1}, {0,1} give (A+B)*C = {0,2} but A*C+B*C =
+`_walk` runs neutro's triple fusions and what does not distribute over
++: the min and bounded T-norms, every T-conorm, and set-valued imprecise
+masses, whose arithmetic is only subdistributive ({1}, {1}, {0,1} give (A+B)*C = {0,2} but A*C+B*C =
 {0,1,2}). It visits every tuple, depth first on an explicit stack of
 prefixes: each prefix's state and kernel value are computed once, the stack
 holds at most the sources' focal counts summed, each distinct final state
@@ -60,9 +59,11 @@ lexicographic tuple order. Its value algebra is a reader (focal value to
 walk value), the kernel, an add and a zero: floats walk under * and +,
 subunitary sets as tuples of plain pieces under mass's set product and sum
 (each fused set built once, at the end), and neutro's point triples as
-plain 3-tuples under the kernel and + componentwise. Imprecise sources whose
-every value is a point take the fold and come back as point sets, so they
-reproduce the precise rules bit for bit.
+plain 3-tuples under the kernel and + componentwise: floats, or for the
+algebraic N-norm exact ints over one common denominator, whose sums are
+exact as the fold's are. Imprecise sources whose every value is a point
+take the fold and come back as point sets, so they reproduce the precise
+rules bit for bit.
 
 Both loops hand back the same result: sums on int keys, the conflict and
 the dropped mass (none on the walk, whose plans weigh and drop nothing),
@@ -199,16 +200,13 @@ def _over_one_den(values):
 def _fold(sources, plan):
     """Sum every focal tuple's product on its landing site, exactly.
 
-    A value is anything with as_integer_ratio whose ints add and multiply:
-    a float, a Fraction, or neutro's (t, i, f) point triple, whose ratio is
-    three ints over one denominator and whose arithmetic is componentwise.
-    Each source's nonzero values become ints over one common denominator
-    (_over_one_den), exactly; a fixed 2**S scale would overflow near
-    subnormals. The sources are folded in one at a time over a dict of
-    distinct states and their exact int sums, then each final state is
-    landed once; a weight from land is an int or a Fraction, and only
-    weights bring a further lcm. Returns (sums per int key, conflict, mass
-    dropped on key None, den): ints (or triples of ints), each standing
+    A value is a float or a Fraction. Each source's nonzero values become
+    ints over one common denominator (_over_one_den), exactly; a fixed
+    2**S scale would overflow near subnormals. The sources are folded in
+    one at a time over a dict of distinct states and their exact int sums,
+    then each final state is landed once; a weight from land is an int or
+    a Fraction, and only weights bring a further lcm. Returns (sums per
+    int key, conflict, mass dropped on key None, den): ints, each standing
     for itself over den; a conflict or dropped mass with no tuple is the
     int 0.
     """

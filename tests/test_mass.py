@@ -498,6 +498,27 @@ def test_piece_make_is_validated():
     assert Piece._make((0.2, 0.2, False, False)) == (0.2, 0.2, True, True)
 
 
+def test_set_constructor_checks_plain_tuples_as_piece_does():
+    with pytest.raises(ValueError, match="out of order"):
+        SubunitarySet([(0.5, 0.2, True, True)])
+    cast = SubunitarySet([(1, 2, 1, 0)])
+    assert [tuple(map(type, p)) for p in cast.pieces] == [(float, float, bool, bool)]
+    assert repr(cast) == "[1.0,2.0)"
+    assert SubunitarySet([(0.5, 0.5, False, False)]).pieces == ((0.5, 0.5, True, True),)
+    # a Piece is taken as it is, beside a plain tuple
+    mixed = SubunitarySet([Piece(0.0, 0.1), (0.1, 0.2, False, True)])
+    assert mixed.pieces == ((0.0, 0.2, True, True),) and type(mixed.pieces[0]) is Piece
+
+
+def test_sets_and_masses_refuse_del():
+    s = SubunitarySet.point(0.3)
+    m = PreciseMass(F2, {F2.atom(1): 1.0})
+    for value, name in ((s, "pieces"), (m, "_masses"), (m, "frame")):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert hash(s) == hash(SubunitarySet.point(0.3)) and m.items() == [(F2.atom(1), 1.0)]
+
+
 # --- parse and format ---------------------------------------------------------------
 
 @pytest.mark.parametrize("text,inf,sup", [

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from dsmfuse.mass import PreciseMass, SubunitarySet, parse_set
 from dsmfuse.neutro import (
     NeutrosophicTriple,
     TripleMass,
-    _PointTriple,
     nconorm,
     nconorm_fusion,
     nl_conjunction,
@@ -264,20 +264,27 @@ def _apply_kernel(kernel, a, b):
     return (kernel(at, bt), kernel(ai, bi), kernel(af, bf))
 
 
+class Componentwise(tuple):
+    """(t, i, f) numbers summed component by component."""
+
+    def __add__(self, other):
+        return Componentwise(map(add, self, other))
+
+
 def ref_fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     """Walk the focal pairs with the kernel applied componentwise, drop
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
-    zero = _PointTriple((0.0,) * 3)
+    zero = Componentwise((0.0,) * 3)
     if name == "nnorm[algebraic]":
-        zero = _PointTriple((Fraction(0),) * 3)
+        zero = Componentwise((Fraction(0),) * 3)
 
         def kernel(x, y):
             return Fraction(x) * Fraction(y)
     # Exactly two sources, so the kernel always meets two source triples.
     acc, conflict, _, _ = _walk(
-        sources, plan(model), lambda a, b: _PointTriple(_apply_kernel(kernel, a, b)), zero=zero
+        sources, plan(model), lambda a, b: Componentwise(_apply_kernel(kernel, a, b)), zero=zero
     )
     out = {}
     for k, (t, i, f) in acc.items():

@@ -896,6 +896,52 @@ def test_precision_is_bounded_by_the_longest_exact_double(capsys):
         assert "precision must be between 0 and 1074" in capsys.readouterr().err
 
 
+def test_precision_is_an_integer_or_full(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fuse", "--scenario", fixture("three_sources.dsm"), "--precision", "abc"])
+    assert exc.value.code == 2
+    assert "precision is an integer or 'full'" in capsys.readouterr().err
+
+
+def test_full_precision_tables_print_decide_values_by_repr(capsys):
+    argv = ["fuse", "--scenario", fixture("three_sources.dsm"), "--rule", "dempster",
+            "--decide", "--precision", "full"]
+    assert cli.main(argv) == 0
+    sections, section = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            sections.setdefault(section, []).append(line.split())
+        else:
+            section = line
+    assert cli.main(argv + ["--format", "json"]) == 0
+    task, = json.loads(capsys.readouterr().out)["tasks"]
+    assert sections["bel/pl:"] == [[k, repr(v), repr(task["pl"][k])] for k, v in task["bel"].items()]
+    assert sections["pignistic:"] == [[k, repr(v)] for k, v in task["pignistic"].items()]
+    assert any(len(v) > 8 for _, v in sections["pignistic:"])  # more digits than precision 6
+
+
+TWO_SOURCES = "source m1:\n  a = 1\nsource m2:\n  b = 1\n"
+
+
+@pytest.mark.parametrize("command,name,text,message", [
+    ("fuse", "twice.dsm", "frame: a b\nmodel: shafer\nmodel: free\n" + TWO_SOURCES,
+     "model given twice (line 3)"),
+    ("fuse", "unnamed.dsm", "frame: a b\nsource :\n  a = 1\n", "source needs a name (line 2)"),
+    ("fuse", "labels.dsm", "frame: a a\n" + TWO_SOURCES, "duplicate hypothesis label 'a'"),
+    ("fuse", "empty.dsm", "frame: a b\nsource m1:\nsource m2:\n  a = 1\n",
+     "source 'm1' has no focal elements"),
+    ("fuse", "array.json", "[1, 2]", "JSON scenario must be an object"),
+    ("lattice --n 3", "four.dsm", "frame: a b c d\n" + TWO_SOURCES,
+     "--n 3 disagrees with the scenario frame (4)"),
+])
+def test_scenario_errors_print_one_error_line(command, name, text, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--model" if command.startswith("lattice") else "--scenario"
+    assert cli.main([*command.split(), flag, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_many_sources_fuse(tmp_path, capsys):
     doc = tmp_path / "many.dsm"
     doc.write_text("frame: a b\n" + "".join(f"source m{i}:\n  a | b = 1.0\n" for i in range(1200)))

@@ -69,32 +69,13 @@ def tuple_walk(sources, plan, kernel=mul, add=add, zero=0.0, read=None):
     return acc, conflict, lost, 1
 
 
-class Components(tuple):
-    """Numbers added and multiplied component by component."""
-
-    def __add__(self, other):
-        return Components(map(add, self, other))
-
-    def __mul__(self, other):
-        return Components(map(mul, self, other))
-
-
 def fraction_walk(sources, plan):
     """The tuple walk in exact Fractions, handed back as the fold hands its
-    sums back: ints on int keys over one denominator. A triple value is
-    summed component by component, all three over that one denominator."""
-    if isinstance(sources[0].items()[0][1], tuple):
-        zero, read = Components((Fraction(0),) * 3), lambda v: Components(map(Fraction, v))
-    else:
-        zero, read = Fraction(0), Fraction
-    acc, conflict, lost, _ = tuple_walk(sources, plan, zero=zero, read=read)
-    sums = (*acc.values(), conflict, lost)
-    den = lcm(*(x.denominator for x in itertools.chain(*(
-        s if isinstance(s, tuple) else (s,) for s in sums))))
+    sums back: ints on int keys over one denominator."""
+    acc, conflict, lost, _ = tuple_walk(sources, plan, zero=Fraction(0), read=Fraction)
+    den = lcm(*(x.denominator for x in (*acc.values(), conflict, lost)))
 
     def exact(x):
-        if isinstance(x, tuple):
-            return Components(map(exact, x))
         return x.numerator * (den // x.denominator)
 
     return {k: exact(x) for k, x in acc.items()}, exact(conflict), exact(lost), den
@@ -145,9 +126,9 @@ def join(model):
 def patch_in_the_oracle(mp):
     for module in (rules, neutro):
         mp.setattr(module, "_walk", tuple_walk)
-        mp.setattr(module, "_fold", fraction_walk)
         mp.setattr(module, "_transfer_plan", route)
         mp.setattr(module, "_join_plan", join)
+    mp.setattr(rules, "_fold", fraction_walk)
     mp.setattr(rules, "_meet_plan", meet)
 
 
