@@ -16,7 +16,7 @@ from itertools import chain, count, groupby, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DsmError, FrameTooLarge, ParseError, ValidationError
-from .lattice import Frame, Model, expressions
+from .lattice import MAX_FRAME_SIZE, Frame, Model, expressions
 from .mass import PreciseMass, format_set
 from .neutro import NeutrosophicTriple
 from .scenario import _format_value, load_scenario, run
@@ -87,14 +87,13 @@ def main(argv=None):
 
 def _check_frame_budget(frame, max_frame):
     if frame.n > max_frame:
-        raise FrameTooLarge(
-            f"frame has {frame.n} hypotheses; raise --max-frame (at most 6) to allow it"
-        )
+        raise FrameTooLarge(f"frame has {frame.n} hypotheses; raise --max-frame"
+                            f" (at most {MAX_FRAME_SIZE}) to allow it")
 
 
 def _cmd_fuse(args):
     scenario = load_scenario(args.scenario)
-    _check_frame_budget(scenario.frame, min(args.max_frame, 6))
+    _check_frame_budget(scenario.frame, args.max_frame)
     results = run(scenario, rule=args.rule, compare=args.compare, decide=args.decide,
                   s3=args.s3)
     out = _render_json(scenario, results, args.precision) if args.format == "json" \
@@ -116,7 +115,7 @@ def _cmd_lattice(args):
         model = Model.free(frame)
     else:
         raise ValidationError(["lattice needs --n or --model"])
-    _check_frame_budget(frame, min(args.max_frame, 6))
+    _check_frame_budget(frame, args.max_frame)
     # the model's reduced alive bitsets, which start with the empty element;
     # rows print by %, which formats a row faster than str.format does
     bits, out = model.alive_bits(), sys.stdout

@@ -203,7 +203,24 @@ class Frame:
         return LatticeElement(self, (1 << self.part_count) - 1)
 
 
-class LatticeElement:
+class _Frozen:
+    """Immutable value: slots are set once, bypassing the guard, and copy,
+    deepcopy and pickle restore the (None, {slot: value}) state that
+    object.__reduce_ex__ gives __setstate__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class LatticeElement(_Frozen):
     """One lattice element: an upward-closed family of parts over a frame.
 
     Supports & (meet), | (join), <= (free-lattice containment). Instances
@@ -216,11 +233,6 @@ class LatticeElement:
     def __init__(self, frame, bits):
         _set_frame(self, frame)
         _set_bits(self, bits)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError("LatticeElement is immutable")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if not isinstance(other, LatticeElement):
@@ -356,7 +368,7 @@ def enumerate_hyper_power_set(frame):
     return [LatticeElement(frame, b) for b in _free_table(frame.n)]
 
 
-class Model:
+class Model(_Frozen):
     """Interpretation model: which parts of the frame are impossible.
 
     kind is "free" (nothing empty), "shafer" (every overlap of two or more
@@ -369,17 +381,14 @@ class Model:
     def __init__(self, frame, kind, constraints=()):
         if kind not in ("free", "shafer", "hybrid"):
             raise ValueError(f"unknown model kind {kind!r}")
-        self.frame = frame
-        self.kind = kind
-        self.constraints = tuple(constraints)
-        emptied = 0
-        for c in self.constraints:
+        constraints = tuple(constraints)
+        emptied = _overlaps(frame.n) if kind == "shafer" else 0
+        for c in constraints:
             if c.frame != frame:
                 raise FrameMismatch("constraint element belongs to a different frame")
             emptied |= c.bits
-        if kind == "shafer":
-            emptied |= _overlaps(frame.n)
-        self.emptied = emptied
+        for name, value in zip(self.__slots__, (frame, kind, constraints, emptied)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def free(cls, frame):

@@ -43,6 +43,7 @@ from .errors import (
     ValidationError,
     ZeroTotalMass,
 )
+from .lattice import _Frozen
 
 DEFAULT_TOL = 1e-9
 
@@ -115,7 +116,7 @@ def _coalesce(pieces):
     return out
 
 
-class SubunitarySet:
+class SubunitarySet(_Frozen):
     """Finite union of disjoint points and intervals, kept sorted/merged."""
 
     __slots__ = ("pieces",)
@@ -124,11 +125,6 @@ class SubunitarySet:
         # a plain tuple is checked as Piece checks it; a Piece already is
         pieces = _merge(p if isinstance(p, Piece) else Piece(*p) for p in pieces)
         _set_pieces(self, tuple(map(_piece, pieces)))
-
-    def __setattr__(self, name, *value):
-        raise AttributeError("SubunitarySet is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def point(cls, x):
@@ -350,7 +346,10 @@ def format_set(s, precision=None, style="ascii"):
 
 # --- mass functions ----------------------------------------------------------
 
-class _MassBase:
+class _MassBase(_Frozen):
+    """Focal elements to values of one kind, which gives validate, _zero
+    (the mass off the focal elements) and _text (a value in the repr)."""
+
     __slots__ = ("frame", "_masses", "allows_empty_focal")
 
     def __init__(self, frame, masses, allows_empty_focal=False):
@@ -363,10 +362,8 @@ class _MassBase:
             store[el.bits.bit_count(), el.bits] = el, value
         object.__setattr__(self, "_masses", dict(map(store.__getitem__, sorted(store))))
 
-    def __setattr__(self, name, *value):
-        raise AttributeError("mass functions are immutable")
-
-    __delattr__ = __setattr__
+    def mass(self, element):
+        return self._masses.get(element, self._zero)
 
     def items(self):
         return list(self._masses.items())
@@ -396,12 +393,16 @@ class _MassBase:
             raise ValidationError(problems)
         return self
 
+    def __repr__(self):
+        inner = ", ".join(f"{el.expr()}: {self._text(v)}" for el, v in self._masses.items())
+        return f"{type(self).__name__}({{{inner}}})"
+
 
 class PreciseMass(_MassBase):
     """Mass function with one real per focal element."""
 
-    def mass(self, element):
-        return self._masses.get(element, 0.0)
+    _zero = 0.0
+    _text = staticmethod(lambda v: f"{float(v):g}")
 
     @classmethod
     def vacuous(cls, frame):
@@ -435,17 +436,12 @@ class PreciseMass(_MassBase):
             self.allows_empty_focal,
         )
 
-    def __repr__(self):
-        inner = ", ".join(f"{el.expr()}: {float(v):g}" for el, v in self._masses.items())
-        return "PreciseMass({" + inner + "})"
-
 
 class ImpreciseMass(_MassBase):
     """Mass function with one subunitary set per focal element."""
 
-    def mass(self, element):
-        got = self._masses.get(element)
-        return got if got is not None else SubunitarySet.point(0.0)
+    _zero = SubunitarySet.point(0.0)
+    _text = staticmethod(format_set)
 
     def validate(self, tol=DEFAULT_TOL):
         problems = []
@@ -460,10 +456,6 @@ class ImpreciseMass(_MassBase):
             if el.bits == 0 and not self.allows_empty_focal and not s.contains(0.0, tol):
                 problems.append(f"empty element carries nonzero set {format_set(s)}")
         return problems
-
-    def __repr__(self):
-        inner = ", ".join(f"{el.expr()}: {format_set(s)}" for el, s in self._masses.items())
-        return "ImpreciseMass({" + inner + "})"
 
 
 def lift(m):

@@ -152,9 +152,8 @@ def normalize_triple(trip):
 class TripleMass(_MassBase):
     """Mass function carrying a point-valued triple per focal element."""
 
-    def mass(self, element):
-        got = self._masses.get(element)
-        return got if got is not None else NeutrosophicTriple.of(0.0, 0.0, 0.0)
+    _zero = NeutrosophicTriple.of(0.0, 0.0, 0.0)
+    _text = staticmethod(repr)
 
     def validate(self, tol=1e-9):
         problems = []
@@ -171,10 +170,6 @@ class TripleMass(_MassBase):
             if el.bits == 0 and any(c != 0.0 for c in points):
                 problems.append(f"triple mass on the empty element {el.expr()}")
         return problems
-
-    def __repr__(self):
-        inner = ", ".join(f"{el.expr()}: {trip!r}" for el, trip in self._masses.items())
-        return "TripleMass({" + inner + "})"
 
 
 def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):

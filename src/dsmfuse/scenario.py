@@ -58,8 +58,9 @@ _JOINS = ("|", "∪")
 _NUMBER_RE = re.compile(_NUM)
 # a keyword followed by an operator or "=" starts a focal line, not a directive
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b(?!\s*[=&|∩∪])\s*:?")
-# a frame label holding one of these would not read back as written
-_BAD_LABEL_RE = re.compile(r"[\s,#]")
+# a frame label holding one of these would not read back as written, or
+# would print like an expression over other labels or like the empty element
+_BAD_LABEL_RE = re.compile(r"[\s,#&|()∩∪{}∅]")
 
 # deepest parenthesis nesting parse_element accepts: it bounds its parenthesis stack
 MAX_NESTING = 100
@@ -210,7 +211,8 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
     # emit_scenario writes labels and names verbatim; refuse what would read back changed
     bad = next(filter(_BAD_LABEL_RE.search, frame.labels), None)
     if bad is not None:
-        raise ValidationError([f"hypothesis label {bad!r} holds whitespace, ',' or '#'"])
+        raise ValidationError(
+            [f"hypothesis label {bad!r} holds whitespace or one of , # & | ( ) ∩ ∪ {{ }} ∅"])
 
     model_kind = model_kind or "free"
     if model_kind not in ("free", "shafer", "hybrid"):

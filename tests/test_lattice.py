@@ -380,6 +380,29 @@ def test_element_refuses_assignment_and_deletion():
     assert x == frame_of(2).atom(1) and hash(x) == hash(x.bits)
 
 
+def test_model_refuses_assignment_and_deletion_and_keeps_its_hash():
+    f = frame_of(2)
+    m = Model.shafer(f)
+    before = hash(m)
+    for name in Model.__slots__:
+        with pytest.raises(AttributeError, match="Model is immutable"):
+            setattr(m, name, 0)
+        with pytest.raises(AttributeError, match="Model is immutable"):
+            delattr(m, name)
+    assert hash(m) == before and m == Model.shafer(f)
+    assert repr(m) == "Model(shafer, frame=('th1', 'th2'), dead_parts=0x4)"
+
+
+def test_bad_frames_and_models_are_refused():
+    f = frame_of(2)
+    with pytest.raises(ValueError, match="nonempty string"):
+        Frame(("a", ""))
+    with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+        Model(f, "bogus")
+    with pytest.raises(FrameMismatch, match="constraint element belongs to a different frame"):
+        Model.hybrid(f, [Frame(("a", "b")).atom(1)])
+
+
 # --- the mask algebra against part-by-part reference loops ---------------------
 
 def ref_atom(n, index):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dsmfuse.errors import (
     EmptyOperand,
+    FrameMismatch,
     ParseError,
     SelectionOutsideSet,
     ValidationError,
@@ -670,3 +671,60 @@ def test_imprecise_validation_refuses_a_negative_lower_end():
         below.check()
     signed_zero = ImpreciseMass(F2, {a: parse_set("[-0.0,0.5]"), b: parse_set("[0.5,1]")})
     assert signed_zero.validate() == []
+
+
+def test_imprecise_validation_names_non_sets_and_a_nonzero_empty_element():
+    a = F2.atom(1)
+    assert ImpreciseMass(F2, {a: 0.5}).validate() == ["value on th1 is not a set"]
+    nonzero_empty = ImpreciseMass(F2, {F2.empty(): SubunitarySet.point(0.5),
+                                       a: SubunitarySet.point(1.0)})
+    assert nonzero_empty.validate() == ["empty element carries nonzero set {0.5}"]
+
+
+def test_mass_refuses_a_focal_element_of_another_frame():
+    with pytest.raises(FrameMismatch, match="focal element belongs to a different frame"):
+        PreciseMass(F2, {Frame(("a", "b")).atom(1): 1.0})
+
+
+def test_check_returns_the_mass_and_a_problem_string_is_a_list_of_one():
+    m = PreciseMass(F2, {F2.atom(1): 1.0})
+    assert m.check() is m
+    assert ValidationError("x").problems == ["x"]
+
+
+def test_to_precise_needs_a_selection_per_focal_element():
+    m1, _ = table_one_sources()
+    with pytest.raises(SelectionOutsideSet, match="no selection for th1"):
+        to_precise(m1, {})
+
+
+def test_an_empty_imprecise_mass_is_not_admissible():
+    empty = ImpreciseMass(F2, {})
+    assert is_admissible(empty) is False
+    assert admissibility_witness(empty) is None
+
+
+@pytest.mark.parametrize("a_set,b_set,b_pick", [
+    # both ends open: the midpoint, with no closed end to snap to
+    ("(0.2,0.4)", "(0.6,0.8)", 0.7),
+    # open lower ends: the closed upper end
+    ("(0.5,0.7]", "(0.3,0.5]", 0.5),
+])
+def test_witness_picks_inside_open_pieces(a_set, b_set, b_pick):
+    a, b = F2.atom(1), F2.atom(2)
+    mi = ImpreciseMass(F2, {a: parse_set(a_set), b: parse_set(b_set)})
+    w = admissibility_witness(mi)
+    assert w[b] == b_pick
+    assert math.isclose(sum(w.values()), 1.0, abs_tol=1e-7)
+    assert all(mi.mass(el).contains(x) for el, x in w.items())
+
+
+def test_as_point_refuses_an_interval():
+    with pytest.raises(ValueError, match=r"\[0.1,0.2\] is not a single point"):
+        SubunitarySet.interval(0.1, 0.2).as_point()
+
+
+def test_imprecise_repr():
+    a, b = F2.atom(1), F2.atom(2)
+    mi = ImpreciseMass(F2, {a: parse_set("[0.2,0.4]u{0.6}"), b: SubunitarySet.point(0.5)})
+    assert repr(mi) == "ImpreciseMass({th1: [0.2,0.4]u{0.6}, th2: {0.5}})"

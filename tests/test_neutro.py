@@ -78,6 +78,8 @@ def test_negation_flips_componentwise():
     t = NeutrosophicTriple.of(0.6, 0.1, 0.3)
     assert points(nl_negation(t)) == (0.4, 0.9, 0.7)
     assert points(ns_complement(t)) == (0.4, 0.9, 0.7)
+    with pytest.raises(ValidationError, match=r"negation needs components inside \[0,1\], got \{1.5\}"):
+        nl_negation(NeutrosophicTriple.of(1.5, 0.0, 0.0))
 
 
 def test_conjunction_is_componentwise_product():
@@ -216,6 +218,13 @@ def test_triple_mass_validation():
     assert set_valued.validate()
     with pytest.raises(ValidationError):
         bad_component.check()
+    assert TripleMass(F3, {TH1: 0.5}).validate() == ["value on th1 is not a triple"]
+
+
+def test_triple_mass_repr_and_its_zero():
+    m = TripleMass(F3, {TH1: NeutrosophicTriple.of(1.0, 0.0, 0.0)})
+    assert repr(m) == "TripleMass({th1: ({1.0}, {0.0}, {0.0})})"
+    assert m.mass(TH2) == NeutrosophicTriple.of(0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("truth", ["[0.1,0.2]", "{0.1,0.2}", "nan"],

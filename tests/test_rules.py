@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -449,6 +451,11 @@ def test_degrees_on_the_free_model():
         degree_of_inclusion(free, TH1, TH2)
 
 
+def test_an_element_the_shafer_model_empties_is_wholly_included_in_itself():
+    both = TH1 & TH2
+    assert degree_of_inclusion(Model.shafer(F3), both, both) == 1.0
+
+
 @pytest.mark.parametrize("degree", [degree_of_intersection, degree_of_union])
 def test_degrees_refuse_foreign_and_non_element_arguments(degree):
     free = Model.free(F3)
@@ -826,6 +833,8 @@ def test_source_count_and_frame_checks():
     other = PreciseMass(Frame(("a", "b")), {Frame(("a", "b")).atom(1): 1.0})
     with pytest.raises(FrameMismatch):
         dsm_classic([m1, other])
+    with pytest.raises(FrameMismatch, match="model frame differs from the sources' frame"):
+        dsm_hybrid(Model.free(Frame(("a", "b"))), [m1, m2])
     with pytest.raises(ValidationError):
         dsm_classic([m1, PreciseMass(F3, {TH1: 0.5})])
     with pytest.raises(TypeError):
@@ -885,3 +894,21 @@ def test_imprecise_spellings_refuse_precise_sources():
         dsm_hybrid_imprecise(Model.free(F3), [m1, m2])
     assert dsm_classic_imprecise([lift(m1), lift(m2)]).rule == "dsm_classic_imprecise"
     assert dsm_classic([m1, m2]).rule == "dsm_classic"
+
+
+# --- the value types ------------------------------------------------------------------
+
+def test_value_types_survive_copy_deepcopy_and_pickle():
+    m1, m2 = two_reports()
+    sets = {TH1: parse_set("[0.2,0.4]u{0.6}"), TH2: SubunitarySet.point(0.5)}
+    values = [
+        TH1 | (TH2 & TH3), Model.shafer(F3, [TH3]), sets[TH1], m1, ImpreciseMass(F3, sets),
+        TripleMass(F3, {TH1: NeutrosophicTriple.of(1.0, 0.0, 0.0)}),
+        dsm_hybrid(Model.shafer(F3, [TH3]), [m1, m2]),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value)),
+                     pickle.loads(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)

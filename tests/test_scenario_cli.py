@@ -441,9 +441,12 @@ def two_source_doc(frame, name):
     (["a", "b"], "n\u2028x"), (["a", "b"], "n\nx"), (["a", "b"], "n\x85x"), (["a", "b"], ":x"),
     (["a", "b"], "=x"), (["a", "b"], "|x"), (["a", "b"], ""),
     (["a b", "c"], "m1"), (["a,b", "c"], "m1"), (["a#", "c"], "m1"), (["a\u2028b", "c"], "m1"),
+    (["c&d", "a", "b"], "m1"), (["b|c", "a"], "m1"), (["(a)", "b"], "m1"), (["a∩b", "c"], "m1"),
+    (["a∪b", "c"], "m1"), (["{}", "a"], "m1"), (["∅", "a"], "m1"),
 ], ids=["hash", "trailing_colon", "leading_space", "trailing_space", "u2028", "newline", "nel",
         "leading_colon", "leading_equals", "leading_bar", "empty", "label_space", "label_comma",
-        "label_hash", "label_u2028"])
+        "label_hash", "label_u2028", "label_meet", "label_join", "label_parens", "label_cap",
+        "label_cup", "label_braces", "label_empty_set"])
 def test_names_and_labels_that_would_read_back_changed_are_refused(frame, name, tmp_path,
                                                                   capsys):
     """emit_scenario writes names and labels verbatim, so any that
@@ -457,6 +460,19 @@ def test_names_and_labels_that_would_read_back_changed_are_refused(frame, name, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_a_text_frame_label_that_prints_as_a_meet_is_refused(tmp_path, capsys):
+    """With a label c&d, decision rows such as a&c&d would read as meets of
+    other labels."""
+    path = tmp_path / "meet_label.dsm"
+    path.write_text("frame: a b c&d\nsource m1:\n  a = 0.6\n  b = 0.4\n"
+                    "source m2:\n  a = 0.5\n  b = 0.5\ntask: dsm_classic\n")
+    assert cli.main(["fuse", "--scenario", str(path), "--decide"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: hypothesis label 'c&d' holds whitespace or one of"
+                            " , # & | ( ) ∩ ∪ { } ∅\n")
 
 
 def test_json_document_equivalent():
