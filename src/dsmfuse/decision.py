@@ -14,25 +14,27 @@ their as_integer_ratio denominators, so Fractions spread exactly), each
 times the lcm of the focal cardinalities over |X|, so every term is an
 int over one shared denominator. One 256-entry table of sums of q per
 byte of a part bitset, summed over the model's alive bitsets by byte
-column (lattice._column_fold, the renderer's pass), gives each element's
-exact numerator, divided once by int true division: each value is the
-exact sum rounded once, whatever the order of the focal elements. The
+column (byte k of every bitset packed in an array('Q') is the stride
+raw[k::8], so each column is one map), gives each element's exact
+numerator, divided once by int true division: each value is the exact sum
+rounded once, whatever the order of the focal elements. The
 classical variant additionally moves mass on zero-cardinality elements to
 the empty element, exactly, before that rounding (the 0/0 = 1 reading of the
 empty-over-empty ratio), which keeps open-world masses accounted for; the
 model-general one skips such mass with a warning.
 """
 
+import sys
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import repeat
 from math import lcm
 from operator import add, getitem, truediv
 
 from .errors import EmptyArgument, EmptyCandidates, ModelNotShafer
-from .lattice import LatticeElement, Model, _column_fold, _per_byte
+from .lattice import LatticeElement, Model, _per_byte
 from .rules import _over_one_den
 
 
@@ -106,7 +108,12 @@ class _Density(namedtuple("_Density", "tables empty den")):
     def over(self, bitsets):
         """The value of each bitset, its exact sum rounded once; bitsets
         hold the empty element first, as alive bitsets do."""
-        sums = _column_fold(add, [t.__getitem__ for t in self.tables], bitsets)
+        packed = array("Q", bitsets)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        raw = packed.tobytes()
+        columns = [raw[k::8] for k in range(len(self.tables))]
+        sums = reduce(partial(map, add), map(map, [t.__getitem__ for t in self.tables], columns))
         values = array("d", map(truediv, sums, repeat(self.den)))
         if self.empty:
             values[0] = self.empty / self.den

@@ -10,18 +10,22 @@ are plain bitwise AND and OR. With at most 6 hypotheses there are at most
 
 Adding hypothesis j to a part that lacks it moves the part's bit up by 2**j,
 so (bits & ~atom_j) << 2**j grows every part of bits by j and n such
-shift-ORs close a bitset upward. Minimal parts and the (size, mask) rank
-order that expressions print in come from per-byte tables instead: the parts
-lying strictly above no part of a bitset are the AND, and the bitset moved
-into rank positions the OR, of one table entry per byte of the bitset. This
-is exact on any bitset, not only upward-closed ones, which matters because
-model reduction strips dead parts from every fused key.
+shift-ORs close a bitset upward. n more, on the closure, give the parts
+lying strictly above some part of the bitset, and its minimal parts are the
+rest. _minimal reads the same set from per-byte tables instead: the AND of
+one table entry per byte of the bitset. Both are exact on any bitset, not
+only upward-closed ones, which matters because model reduction strips dead
+parts from every fused key.
 
-expressions renders CHUNK bitsets at a time by byte column: packed in an
-array('Q'), byte k of every bitset is the stride raw[k::8], so each table
-step (minimal parts, rank, joined terms) is one map per column, folded
-across columns. Every batch takes this pass, a single bitset too: its fixed
-cost is some microseconds per call.
+expressions renders CHUNK bitsets at a time. Their minimal parts come from
+the 64-bit lanes of ints, one bitset per lane and LANES per int (CHUNK-wide
+masks, 35 KB each, raised peak RSS): a part index is at most 62, so no
+shift-OR carries into the next lane. Their bytes, in byte columns (byte k
+of every bitset is the stride raw[k::8]), move into (size, mask) rank order
+by bytes.translate, one 256-byte table per input byte k and output byte i,
+ORed as ints, all-zero tables skipped; one map per ranked column picks its
+joined terms. A single bitset takes the same pass: its fixed cost is some
+microseconds per call.
 
 A Model declares which parts are impossible (empty). Reducing an element
 under a model clears its dead parts; two elements are equal under the model
@@ -48,6 +52,7 @@ from .errors import (
 
 MAX_FRAME_SIZE = 6
 CHUNK = 4096  # bitsets per column pass: bounds what a streaming listing holds at once
+LANES = 512  # bitsets per int of the lane pass: keeps its ints and cached masks at 4 KB
 
 
 @cache
@@ -104,33 +109,60 @@ def _minimal(n, bits):
     return reduce(and_, map(getitem, keep, bits.to_bytes(len(keep), "little")), bits)
 
 
+@cache
+def _lanes(n):
+    """The lane algebra over n hypotheses: per hypothesis j, the parts
+    lacking j in each of LANES 64-bit lanes (a shorter run reads it through
+    &, which stops at the shorter operand) and the shift 2**j that grows
+    them by j; the slice of each byte column of packed bitsets; and (k, i,
+    table) per input byte k and output byte i whose 256-byte table, byte i
+    of byte k's parts moved to their rank positions, is not all zero."""
+    full = (1 << ((1 << n) - 1)) - 1
+    grow = [(int.from_bytes((full & ~atom).to_bytes(8, "little") * LANES, "little"), 1 << j)
+            for j, atom in enumerate(_atoms(n))]
+    ranked = [entries + [0] * (256 - len(entries)) for entries in _part_tables(n)[1]]
+    columns = [slice(k if sys.byteorder == "little" else 7 - k, None, 8) for k in range(len(ranked))]
+    moves = [(k, i, table) for k, entries in enumerate(ranked) for i in range(len(ranked))
+             if any(table := bytes(e >> 8 * i & 255 for e in entries))]
+    return grow, columns, moves
+
+
 @lru_cache(maxsize=32)
 def _terms(labels, unicode):
     """Rendering table for a frame's labels: the union symbol, the
-    expression of the empty bitset and of each one-part bitset, then as
-    _column_fold's lookups the tables of _part_tables and per byte of a
-    rank-ordered bitset its terms as printed inside a union of two or more
-    terms, each led by the union symbol ("" for no term), so such a row is
-    the entries' concatenation less its leading symbol."""
+    expression of the empty bitset and of each one-part bitset, per byte of
+    a rank-ordered bitset the lookup of its terms as printed inside a union
+    of two or more terms, each led by the union symbol ("" for no term), so
+    such a row is the entries' concatenation less its leading symbol; then
+    the _lanes of the frame's size."""
     inter, union, empty = ("∩", "∪", "∅") if unicode else ("&", "|", "{}")
-    keep, ranked, order = _part_tables(len(labels))
     bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1)
             for s in range(1, 1 << len(labels))]
-    paren = [union + (bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})") for s in order]
+    paren = [union + (bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})")
+             for s in _part_tables(len(labels))[2]]
     singles = dict(zip([0] + [1 << p for p in range(len(bare))], [empty] + bare))
-    return union, singles, *([t.__getitem__ for t in tables]
-                             for tables in (keep, ranked, _per_byte(paren, "", add)))
+    return (union, singles, [t.__getitem__ for t in _per_byte(paren, "", add)],
+            *_lanes(len(labels)))
 
 
-def _column_fold(join, lookups, bitsets, *start):
-    """Per bitset, join over its bytes k of lookups[k] (a table's __getitem__),
-    after its item of start if given: one map per byte column of the packing."""
-    packed = array("Q", bitsets)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    raw = packed.tobytes()
-    entries = map(map, lookups, [raw[k::8] for k in range(len(lookups))])
-    return reduce(partial(map, join), entries, *start)
+_from_bytes = int.from_bytes  # bound once: each int.from_bytes lookup binds the classmethod anew
+
+
+def _minimal_parts(grow, chunk):
+    """The minimal parts of each bitset of the array chunk, as its packed
+    bytes: LANES bitsets at a time on the lanes of one int, their closure
+    then the parts above it by 2n shift-ORs, the minimal parts the rest."""
+    runs = []
+    for start in range(0, len(chunk), LANES):
+        run = chunk[start:start + LANES]
+        bits = up = _from_bytes(run, sys.byteorder)
+        for lane, shift in grow:
+            up |= (up & lane) << shift
+        above = 0
+        for lane, shift in grow:
+            above |= (up & lane) << shift
+        runs.append((bits & ~above).to_bytes(8 * len(run), sys.byteorder))
+    return b"".join(runs)
 
 
 def expressions(labels, style, bitsets):
@@ -138,12 +170,17 @@ def expressions(labels, style, bitsets):
     labels, style "unicode" or "ascii": the union of the intersections its
     minimal parts name, in (size, mask) rank order. Reads CHUNK bitsets at a
     time and renders each chunk by byte column; see the module docstring."""
-    union, singles, keep, ranked, joined = _terms(tuple(labels), style == "unicode")
+    union, singles, joined, grow, columns, moves = _terms(tuple(labels), style == "unicode")
     bitsets = iter(bitsets)
-    while chunk := list(islice(bitsets, CHUNK)):
-        chunk = list(_column_fold(and_, keep, chunk, chunk))  # _minimal
-        rows = _column_fold(add, joined, _column_fold(or_, ranked, chunk))
-        yield from map(singles.get, chunk, map(getitem, rows, repeat(slice(len(union), None))))
+    while raw := _minimal_parts(grow, array("Q", islice(bitsets, CHUNK))):
+        minimal = list(map(raw.__getitem__, columns))
+        ranked = [0] * len(columns)
+        for k, i, table in moves:
+            ranked[i] |= _from_bytes(minimal[k].translate(table), "little")
+        ranked = map(int.to_bytes, ranked, repeat(len(raw) // 8), repeat("little"))
+        rows = reduce(partial(map, add), map(map, joined, ranked))
+        yield from map(singles.get, memoryview(raw).cast("Q"),
+                       map(getitem, rows, repeat(slice(len(union), None))))
 
 
 def _overlaps(n):

@@ -65,6 +65,21 @@ def test_element_count_six():
     assert hashlib.sha256(bitsets).hexdigest() == SIX_DIGEST
 
 
+# SHA-256 of the ascii expressions of the n=6 enumeration, one a line, taken
+# from the byte-column renderer that the lane renderer replaced
+SIX_EXPRESSIONS_DIGEST = "f8f4aab119e039f8a875b9f34ecd6204131ee509beff761869a0be375b3c47a1"
+
+
+@pytest.mark.skipif(not os.environ.get("DSMFUSE_STRESS"),
+                    reason="set DSMFUSE_STRESS=1 to render the n=6 lattice")
+def test_expression_digest_six():
+    digest = hashlib.sha256()
+    rows = expressions(frame_of(6).labels, "ascii", _free_table(6))
+    while chunk := list(itertools.islice(rows, CHUNK)):
+        digest.update("\n".join(chunk).encode() + b"\n")
+    assert digest.hexdigest() == SIX_EXPRESSIONS_DIGEST
+
+
 def doubling_bitsets(n):
     """The enumeration as first written: the quadratic doubling of monotone
     0/1 functions, then a sort on (part count, bits)."""
@@ -643,6 +658,20 @@ def test_expressions_match_reference_on_any_bitsets(data):
         size = CHUNK + data.draw(st.sampled_from([-1, 0, 1]))
         bitsets = list(itertools.islice(itertools.cycle(bitsets), size))
     assert_expressions_match_reference(frame_of(n), bitsets)
+
+
+@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_expressions_keep_each_bitset_in_its_own_lane(size):
+    # minimal parts come from one bitset per 64-bit lane of an int: rows holding
+    # every part, or only the top part 62, sit beside empty and one-part rows,
+    # so a shift that crossed into a neighbouring lane would change its row;
+    # read backwards too, so a row holding every part takes an int's last lane
+    f = frame_of(6)
+    bitsets = [((1 << 63) - 1, 0, 1 << 62, 1 << (r % 63))[r % 4] for r in range(size)]
+    for style in ("unicode", "ascii"):
+        expected = {b: ref_expr(f, b, style) for b in set(bitsets)}
+        for batch in (bitsets, bitsets[::-1]):
+            assert list(expressions(f.labels, style, batch)) == [expected[b] for b in batch]
 
 
 def test_expressions_stream():
