@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parse or validation error, 3 rule error,
 import argparse
 import functools
 import sys
+from array import array
 from itertools import chain, count, groupby, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -159,6 +160,20 @@ def _json_floats(values, precision):
     return map(_NONFINITE.get, texts, texts)
 
 
+def _json_column(values, precision):
+    """A float column as _json_floats prints it. At full precision a long
+    column holds few distinct values, as the pignistic one does, so each
+    distinct value is printed once, keyed by its bit pattern so that -0.0,
+    0.0 and each NaN keep their own text."""
+    if precision is not None:
+        return _json_floats(values, precision)
+    values = array("d", values)  # a copy of an array("d") is one memcpy
+    patterns = memoryview(values).cast("B").cast("Q")
+    distinct = dict(zip(patterns, values))
+    texts = dict(zip(distinct, _json_floats(distinct.values(), None)))
+    return map(texts.__getitem__, patterns)
+
+
 def _json_text(value, precision, pad):
     """A reported value as JSON nested at indent pad: a float rounded to
     precision places (None keeps every digit), a triple as an array of its
@@ -227,7 +242,7 @@ def _json_task(r, labels, precision):
                               labels, pad)
             fields.append(f'{pad}"{name}": {rows}')
     if r.pignistic is not None:
-        rows = _json_rows(r.pignistic.bits, _json_floats(r.pignistic.values, precision), labels, pad,
+        rows = _json_rows(r.pignistic.bits, _json_column(r.pignistic.values, precision), labels, pad,
                           distinct=True)
         fields.append(f'{pad}"pignistic": {rows}')
     if r.decision is not None:

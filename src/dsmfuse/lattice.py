@@ -32,13 +32,25 @@ under a model clears its dead parts; two elements are equal under the model
 when their reduced bitsets are equal. Listings stay on ints: alive_bits
 hands out a model's alive bitsets and expressions renders them in one
 batch; a LatticeElement wraps a bitset only where a caller is handed one.
+
+alive_bits filters the free table on the same lanes. The reduction
+r = U & alive of a free element U lies inside U, so U holds the upward
+closure of r; that closure lies between r and U, so its reduction is r
+again. It is thus the unique smallest free element with reduction r, and
+the first in (part count, bits) order, where a strict superset comes
+later: U is the first row with its reduction exactly when U is the closure
+of U & alive. Per run of LANES rows, an AND with the alive mask and n
+shift-ORs close each lane's reduction upward, a XOR with the rows leaves a
+lane nonzero on each later copy, shift-ORs fold the bytes a part can
+occupy into the lane's low byte, bytes.translate turns that byte into a
+keep flag and itertools.compress keeps the flagged reductions.
 """
 
 import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import add, and_, getitem, or_
 
 from .errors import (
@@ -391,6 +403,22 @@ def _free_table(n):
     return memoryview(table).toreadonly()
 
 
+@cache
+def _alive_filter(n):
+    """What alive_bits reads over n hypotheses: the free table, _lanes'
+    grow shifts, the slice of each lane's low byte in a run's bytes, the
+    shifts that fold the bytes a part can occupy into it, every part, and a
+    one in each lane of a run, as many lanes as the first run has."""
+    table = _free_table(n)
+    grow, columns = _lanes(n)[:2]
+    folds = (32, 16, 8)[4 - len(columns).bit_length():]
+    ones = _from_bytes(b"\1\0\0\0\0\0\0\0" * min(len(table), LANES), "little")
+    return table, grow, columns[0], folds, (1 << ((1 << n) - 1)) - 1, ones
+
+
+_KEEP = bytes([1]) + bytes(255)  # a lane's folded low byte: zero keeps its row
+
+
 def enumerate_bitsets(n):
     """A fresh list of the bitsets of every lattice element over n
     hypotheses, sorted by (part count, bit pattern): the empty one first."""
@@ -478,10 +506,33 @@ class Model(_Frozen):
 
     def alive_bits(self):
         """Distinct reduced bitsets, empty first, in the order they first occur
-        in the free table: that table itself (63 MB at n = 6) if none is emptied."""
+        in the free table: that table itself (63 MB at n = 6) if none is emptied.
+
+        A row U of the free table is the first with its reduction U & alive
+        exactly when U is the upward closure of U & alive: that closure is
+        the smallest free element with the reduction, and every other one
+        strictly contains it (see the module docstring). LANES rows at a
+        time on 64-bit lanes, the rows passing that test give their
+        reductions."""
         if not self.emptied:
             return _free_table(self.frame.n)
-        return array("Q", dict.fromkeys(map(and_, _free_table(self.frame.n), repeat(~self.emptied))))
+        table, grow, low, folds, full, ones = _alive_filter(self.frame.n)
+        alive = (full & ~self.emptied) * ones
+        out = array("Q")
+        for start in range(0, len(table), LANES):
+            run = table[start:start + LANES]
+            size = 8 * len(run)
+            rows = _from_bytes(run, sys.byteorder)
+            reduced = later = rows & alive
+            for lane, shift in grow:
+                later |= (later & lane) << shift
+            later ^= rows  # nonzero on each lane whose row is not the closure
+            for shift in folds:
+                later |= later >> shift
+            keep = later.to_bytes(size, sys.byteorder)[low].translate(_KEEP)
+            if 1 in keep:  # most runs of a model with few alive parts keep no row
+                out.extend(compress(memoryview(reduced.to_bytes(size, sys.byteorder)).cast("Q"), keep))
+        return out
 
     def iter_alive_elements(self):
         """Iterator over the distinct reduced elements, in alive_bits order."""

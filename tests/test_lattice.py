@@ -627,6 +627,53 @@ def test_alive_bits_match_the_dedupe_walk_on_five_hypotheses():
         assert_alive_bits_match_reference(m)
 
 
+def ref_alive_bits(model):
+    """alive_bits as first written: every reduction of the free table, kept
+    at its first occurrence by dict.fromkeys."""
+    table = _free_table(model.frame.n)
+    return array("Q", dict.fromkeys(map(and_, table, itertools.repeat(~model.emptied))))
+
+
+@st.composite
+def closed_models(draw):
+    """A model over 0-5 hypotheses whose constraints are lattice elements:
+    free, shafer, shafer with constraints, hybrid, or one emptying every
+    part. A constraint is a meet of hypotheses or any free element."""
+    n = draw(st.integers(0, 5))
+    f, table = frame_of(n), _free_table(n)
+    kind = draw(st.sampled_from(["free", "shafer", "shafer+", "hybrid", "degenerate"]))
+    if kind in ("free", "shafer"):
+        return Model(f, kind)
+    if kind == "degenerate":
+        return Model.hybrid(f, [LatticeElement(f, table[-1])])
+    element = st.integers(0, len(table) - 1).map(lambda i: LatticeElement(f, table[i]))
+    if n:
+        meet = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True).map(
+            lambda picks: reduce(and_, (f.atom(i) for i in picks)))
+        element = st.one_of(meet, element)
+    constraints = draw(st.lists(element, min_size=1, max_size=3))
+    return Model(f, "shafer" if kind == "shafer+" else "hybrid", constraints)
+
+
+@given(closed_models())
+@settings(max_examples=250, deadline=None)
+def test_alive_bits_match_the_dict_dedupe(model):
+    assert model.alive_bits() == ref_alive_bits(model)
+
+
+@pytest.mark.skipif(not os.environ.get("DSMFUSE_STRESS"),
+                    reason="set DSMFUSE_STRESS=1 to reduce the n=6 lattice")
+def test_alive_bits_six():
+    # the lane filter and the dict dedupe over the 7,828,353-row n=6 table
+    f = frame_of(6)
+    for m in (Model.shafer(f), Model.hybrid(f, [exclusivity(f, 1, 2)]),
+              Model.hybrid(f, [exclusivity(f, 1, 3), exclusivity(f, 2, 4),
+                               f.atom(3) & f.atom(4) & f.atom(5)])):
+        got, want = m.alive_bits(), ref_alive_bits(m)
+        assert len(got) == len(want)
+        assert hashlib.sha256(got).hexdigest() == hashlib.sha256(want).hexdigest()
+
+
 def assert_expressions_match_reference(f, bitsets):
     for style in ("unicode", "ascii"):
         batch = list(expressions(f.labels, style, bitsets))

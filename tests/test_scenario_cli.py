@@ -5,9 +5,10 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import cli, neutro, rules
@@ -888,6 +889,24 @@ def test_json_report_writer_matches_json_dumps(report, precision):
     scenario, results = report
     assert cli._render_json(scenario, results, precision) == \
         ref_render_json(scenario, results, precision)
+
+
+# values a column keyed on the float rather than its bits would print wrong
+EDGE_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324, 1e300]
+
+
+@st.composite
+def float_columns(draw):
+    """An array("d") column whose rows repeat a few drawn values."""
+    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=8))
+    return array("d", draw(st.lists(st.sampled_from(pool), max_size=40)))
+
+
+@given(float_columns())
+@example(array("d"))
+@example(array("d", [-0.0]))
+def test_json_column_prints_each_row_as_json_floats(values):
+    assert list(cli._json_column(values, None)) == list(cli._json_floats(values, None))
 
 
 def test_precision_flag(capsys):
