@@ -160,20 +160,6 @@ def _json_floats(values, precision):
     return map(_NONFINITE.get, texts, texts)
 
 
-def _json_column(values, precision):
-    """A float column as _json_floats prints it. At full precision a long
-    column holds few distinct values, as the pignistic one does, so each
-    distinct value is printed once, keyed by its bit pattern so that -0.0,
-    0.0 and each NaN keep their own text."""
-    if precision is not None:
-        return _json_floats(values, precision)
-    values = array("d", values)  # a copy of an array("d") is one memcpy
-    patterns = memoryview(values).cast("B").cast("Q")
-    distinct = dict(zip(patterns, values))
-    texts = dict(zip(distinct, _json_floats(distinct.values(), None)))
-    return map(texts.__getitem__, patterns)
-
-
 def _json_text(value, precision, pad):
     """A reported value as JSON nested at indent pad: a float rounded to
     precision places (None keeps every digit), a triple as an array of its
@@ -242,8 +228,8 @@ def _json_task(r, labels, precision):
                               labels, pad)
             fields.append(f'{pad}"{name}": {rows}')
     if r.pignistic is not None:
-        rows = _json_rows(r.pignistic.bits, _json_column(r.pignistic.values, precision), labels, pad,
-                          distinct=True)
+        rows = _json_rows(r.pignistic.bits, _distinct_floats(r.pignistic.values, _json_floats, precision),
+                          labels, pad, distinct=True)
         fields.append(f'{pad}"pignistic": {rows}')
     if r.decision is not None:
         inner = pad + "  "
@@ -297,7 +283,7 @@ def _single_block(r, labels, precision):
                      _table_floats(r.bel.values(), precision), _table_floats(r.pl.values(), precision))
     if r.pignistic is not None:
         lines.append("pignistic:")
-        lines += map(row, keys, _table_floats(r.pignistic.values, precision))
+        lines += map(row, keys, _distinct_floats(r.pignistic.values, _table_floats, precision))
     if r.decision is not None:
         lines += map("decision: %s".__mod__, _decision_texts([r.decision], labels, precision))
     lines += map("warning: {}".format, _warnings(r))
@@ -321,6 +307,19 @@ def _table_floats(values, precision):
     if precision is None:
         return map(repr, values)
     return map(format, values, repeat(f".{precision}f"))
+
+
+def _distinct_floats(values, floats, precision):
+    """A float column as the writer's column formatter floats (_json_floats
+    or _table_floats) prints it at this precision. A long column holds few
+    distinct values, as the pignistic one does, so each distinct value is
+    formatted once, keyed by its bit pattern so that -0.0, 0.0 and each NaN
+    keep their own text."""
+    values = array("d", values)  # a copy of an array("d") is one memcpy
+    patterns = memoryview(values).cast("B").cast("Q")
+    distinct = dict(zip(patterns, values))
+    texts = dict(zip(distinct, floats(distinct.values(), precision)))
+    return map(texts.__getitem__, patterns)
 
 
 def _compare_table(results, labels, precision):

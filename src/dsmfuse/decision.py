@@ -15,16 +15,15 @@ times the lcm of the focal cardinalities over |X|, so every term is an
 int over one shared denominator. One 256-entry table of sums of q per
 byte of a part bitset, summed over the model's alive bitsets by byte
 column (byte k of every bitset packed in an array('Q') is the stride
-raw[k::8], so each column is one map), gives each element's exact
-numerator, divided once by int true division: each value is the exact sum
-rounded once, whatever the order of the focal elements. The
-classical variant additionally moves mass on zero-cardinality elements to
-the empty element, exactly, before that rounding (the 0/0 = 1 reading of the
-empty-over-empty ratio), which keeps open-world masses accounted for; the
-model-general one skips such mass with a warning.
+lattice._COLUMNS[k] of its bytes, so each column is one map), gives each
+element's exact numerator, divided once by int true division: each value
+is the exact sum rounded once, whatever the order of the focal elements.
+The classical variant additionally moves mass on zero-cardinality elements
+to the empty element, exactly, before that rounding (the 0/0 = 1 reading of
+the empty-over-empty ratio), which keeps open-world masses accounted for;
+the model-general one skips such mass with a warning.
 """
 
-import sys
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from math import lcm
 from operator import add, getitem, truediv
 
 from .errors import EmptyArgument, EmptyCandidates, ModelNotShafer
-from .lattice import LatticeElement, Model, _per_byte
+from .lattice import _COLUMNS, LatticeElement, Model, _per_byte
 from .rules import _over_one_den
 
 
@@ -108,11 +107,8 @@ class _Density(namedtuple("_Density", "tables empty den")):
     def over(self, bitsets):
         """The value of each bitset, its exact sum rounded once; bitsets
         hold the empty element first, as alive bitsets do."""
-        packed = array("Q", bitsets)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        raw = packed.tobytes()
-        columns = [raw[k::8] for k in range(len(self.tables))]
+        raw = array("Q", bitsets).tobytes()
+        columns = map(raw.__getitem__, _COLUMNS[:len(self.tables)])
         sums = reduce(partial(map, add), map(map, [t.__getitem__ for t in self.tables], columns))
         values = array("d", map(truediv, sums, repeat(self.den)))
         if self.empty:

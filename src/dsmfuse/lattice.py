@@ -9,20 +9,22 @@ are plain bitwise AND and OR. With at most 6 hypotheses there are at most
 63 parts and every element fits a machine word.
 
 Adding hypothesis j to a part that lacks it moves the part's bit up by 2**j,
-so (bits & ~atom_j) << 2**j grows every part of bits by j and n such
+so (bits & lacks_j) << 2**j grows every part of bits by j and n such
 shift-ORs close a bitset upward. n more, on the closure, give the parts
 lying strictly above some part of the bitset, and its minimal parts are the
-rest. _minimal reads the same set from per-byte tables instead: the AND of
-one table entry per byte of the bitset. Both are exact on any bitset, not
-only upward-closed ones, which matters because model reduction strips dead
-parts from every fused key.
+rest. This is exact on any bitset, not only upward-closed ones, which
+matters because model reduction strips dead parts from every fused key.
 
-expressions renders CHUNK bitsets at a time. Their minimal parts come from
-the 64-bit lanes of ints, one bitset per lane and LANES per int (CHUNK-wide
-masks, 35 KB each, raised peak RSS): a part index is at most 62, so no
-shift-OR carries into the next lane. Their bytes, in byte columns (byte k
-of every bitset is the stride raw[k::8]), move into (size, mask) rank order
-by bytes.translate, one 256-byte table per input byte k and output byte i,
+One closure algebra serves one bitset or LANES of them: the lacks_j masks
+fill LANES 64-bit lanes, one bitset per lane, and & stops at the shorter
+operand, so the same shift-ORs close a single bitset or an int packing a
+run of them (CHUNK-wide masks, 35 KB each, raised peak RSS). A part index
+is at most 62, so no shift-OR carries into the next lane.
+
+expressions renders CHUNK bitsets at a time. The bytes of their minimal
+parts, in byte columns (_COLUMNS: byte k of every packed bitset is one
+stride of the native bytes), move into (size, mask) rank order by
+bytes.translate, one 256-byte table per input byte k and output byte i,
 ORed as ints, all-zero tables skipped; one map per ranked column picks its
 joined terms. A single bitset takes the same pass: its fixed cost is some
 microseconds per call.
@@ -51,7 +53,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
 from itertools import compress, islice, repeat
-from operator import add, and_, getitem, or_
+from operator import add, getitem, or_
 
 from .errors import (
     DegenerateModel,
@@ -80,13 +82,6 @@ def _label_atoms(labels):
     return dict(zip(labels, _atoms(len(labels))))
 
 
-def _close_up(n, bits):
-    """bits with every part containing one of its parts switched on."""
-    for j, atom in enumerate(_atoms(n)):
-        bits |= (bits & ~atom) << (1 << j)
-    return bits
-
-
 def _per_byte(values, zero, join):
     """Per byte k of a part bitset, the table of join over the values of the
     bits set in each byte value v: v's entry is the entry without v's top
@@ -103,40 +98,49 @@ def _per_byte(values, zero, join):
 
 @cache
 def _part_tables(n):
-    """Per-byte tables over n hypotheses: the parts not strictly above any
-    part of the byte, and each part's bit moved to its rank in (size, mask)
-    order; also the subset-masks in rank order."""
-    full = (1 << ((1 << n) - 1)) - 1
-    parts = [1 << p for p in range((1 << n) - 1)]
+    """Per-byte tables over n hypotheses of each part's bit moved to its
+    rank in (size, mask) order; also the subset-masks in rank order."""
     order = sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s))
     rank = {s: r for r, s in enumerate(order)}
-    keep = _per_byte([full & ~(_close_up(n, b) & ~b) for b in parts], full, and_)
-    ranked = _per_byte([1 << rank[b.bit_length()] for b in parts], 0, or_)
-    return keep, ranked, order
+    return _per_byte([1 << rank[p + 1] for p in range((1 << n) - 1)], 0, or_), order
 
 
-def _minimal(n, bits):
-    """The parts of bits that contain no other part of bits."""
-    keep = _part_tables(n)[0]
-    return reduce(and_, map(getitem, keep, bits.to_bytes(len(keep), "little")), bits)
+# byte k of every bitset packed in an array("Q") is the stride _COLUMNS[k]
+# of its native bytes
+_COLUMNS = [slice(k if sys.byteorder == "little" else 7 - k, None, 8) for k in range(8)]
 
 
 @cache
 def _lanes(n):
     """The lane algebra over n hypotheses: per hypothesis j, the parts
-    lacking j in each of LANES 64-bit lanes (a shorter run reads it through
-    &, which stops at the shorter operand) and the shift 2**j that grows
-    them by j; the slice of each byte column of packed bitsets; and (k, i,
-    table) per input byte k and output byte i whose 256-byte table, byte i
-    of byte k's parts moved to their rank positions, is not all zero."""
+    lacking j in each of LANES 64-bit lanes and the shift 2**j that grows
+    them by j; and (k, i, table) per input byte k and output byte i whose
+    256-byte table, byte i of byte k's parts moved to their rank positions,
+    is not all zero."""
     full = (1 << ((1 << n) - 1)) - 1
-    grow = [(int.from_bytes((full & ~atom).to_bytes(8, "little") * LANES, "little"), 1 << j)
+    grow = [(int.from_bytes((full ^ atom).to_bytes(8, "little") * LANES, "little"), 1 << j)
             for j, atom in enumerate(_atoms(n))]
-    ranked = [entries + [0] * (256 - len(entries)) for entries in _part_tables(n)[1]]
-    columns = [slice(k if sys.byteorder == "little" else 7 - k, None, 8) for k in range(len(ranked))]
+    ranked = [entries + [0] * (256 - len(entries)) for entries in _part_tables(n)[0]]
     moves = [(k, i, table) for k, entries in enumerate(ranked) for i in range(len(ranked))
              if any(table := bytes(e >> 8 * i & 255 for e in entries))]
-    return grow, columns, moves
+    return grow, moves
+
+
+def _close_up(n, bits):
+    """bits with every part containing one of its parts switched on: one
+    bitset, or LANES of them on the lanes of one int."""
+    for lane, shift in _lanes(n)[0]:
+        bits |= (bits & lane) << shift
+    return bits
+
+
+def _minimal(n, bits):
+    """The parts of bits that contain no other part of bits, on one bitset
+    or on lanes alike: all but those above a part of its closure."""
+    up, above = _close_up(n, bits), 0
+    for lane, shift in _lanes(n)[0]:
+        above |= (up & lane) << shift
+    return bits & ~above
 
 
 @lru_cache(maxsize=32)
@@ -146,34 +150,27 @@ def _terms(labels, unicode):
     a rank-ordered bitset the lookup of its terms as printed inside a union
     of two or more terms, each led by the union symbol ("" for no term), so
     such a row is the entries' concatenation less its leading symbol; then
-    the _lanes of the frame's size."""
+    the moves of the frame size's _lanes."""
     inter, union, empty = ("∩", "∪", "∅") if unicode else ("&", "|", "{}")
     bare = [inter.join(lab for j, lab in enumerate(labels) if s >> j & 1)
             for s in range(1, 1 << len(labels))]
     paren = [union + (bare[s - 1] if s.bit_count() == 1 else f"({bare[s - 1]})")
-             for s in _part_tables(len(labels))[2]]
+             for s in _part_tables(len(labels))[1]]
     singles = dict(zip([0] + [1 << p for p in range(len(bare))], [empty] + bare))
     return (union, singles, [t.__getitem__ for t in _per_byte(paren, "", add)],
-            *_lanes(len(labels)))
+            _lanes(len(labels))[1])
 
 
 _from_bytes = int.from_bytes  # bound once: each int.from_bytes lookup binds the classmethod anew
 
 
-def _minimal_parts(grow, chunk):
+def _minimal_parts(n, chunk):
     """The minimal parts of each bitset of the array chunk, as its packed
-    bytes: LANES bitsets at a time on the lanes of one int, their closure
-    then the parts above it by 2n shift-ORs, the minimal parts the rest."""
+    bytes: LANES bitsets at a time on the lanes of one int."""
     runs = []
     for start in range(0, len(chunk), LANES):
         run = chunk[start:start + LANES]
-        bits = up = _from_bytes(run, sys.byteorder)
-        for lane, shift in grow:
-            up |= (up & lane) << shift
-        above = 0
-        for lane, shift in grow:
-            above |= (up & lane) << shift
-        runs.append((bits & ~above).to_bytes(8 * len(run), sys.byteorder))
+        runs.append(_minimal(n, _from_bytes(run, sys.byteorder)).to_bytes(8 * len(run), sys.byteorder))
     return b"".join(runs)
 
 
@@ -182,11 +179,11 @@ def expressions(labels, style, bitsets):
     labels, style "unicode" or "ascii": the union of the intersections its
     minimal parts name, in (size, mask) rank order. Reads CHUNK bitsets at a
     time and renders each chunk by byte column; see the module docstring."""
-    union, singles, joined, grow, columns, moves = _terms(tuple(labels), style == "unicode")
+    union, singles, joined, moves = _terms(tuple(labels), style == "unicode")
     bitsets = iter(bitsets)
-    while raw := _minimal_parts(grow, array("Q", islice(bitsets, CHUNK))):
-        minimal = list(map(raw.__getitem__, columns))
-        ranked = [0] * len(columns)
+    while raw := _minimal_parts(len(labels), array("Q", islice(bitsets, CHUNK))):
+        minimal = list(map(raw.__getitem__, _COLUMNS[:len(joined)]))
+        ranked = [0] * len(joined)
         for k, i, table in moves:
             ranked[i] |= _from_bytes(minimal[k].translate(table), "little")
         ranked = map(int.to_bytes, ranked, repeat(len(raw) // 8), repeat("little"))
@@ -328,7 +325,7 @@ class LatticeElement(_Frozen):
         intersections of the hypotheses named in each part.
         """
         bits = _minimal(self.frame.n, self.bits)
-        return [s for s in _part_tables(self.frame.n)[2] if bits >> (s - 1) & 1]
+        return [s for s in _part_tables(self.frame.n)[1] if bits >> (s - 1) & 1]
 
     def expr(self, style="unicode"):
         """Canonical expression: union of intersections of minimal parts."""
@@ -405,15 +402,13 @@ def _free_table(n):
 
 @cache
 def _alive_filter(n):
-    """What alive_bits reads over n hypotheses: the free table, _lanes'
-    grow shifts, the slice of each lane's low byte in a run's bytes, the
-    shifts that fold the bytes a part can occupy into it, every part, and a
-    one in each lane of a run, as many lanes as the first run has."""
+    """What alive_bits reads over n hypotheses: the free table, the shifts
+    that fold the 2**(n - 3) bytes a part can occupy into a lane's low
+    byte, every part, and a one in each lane of a run, as many lanes as the
+    first run has."""
     table = _free_table(n)
-    grow, columns = _lanes(n)[:2]
-    folds = (32, 16, 8)[4 - len(columns).bit_length():]
     ones = _from_bytes(b"\1\0\0\0\0\0\0\0" * min(len(table), LANES), "little")
-    return table, grow, columns[0], folds, (1 << ((1 << n) - 1)) - 1, ones
+    return table, (32, 16, 8)[6 - n:], (1 << ((1 << n) - 1)) - 1, ones
 
 
 _KEEP = bytes([1]) + bytes(255)  # a lane's folded low byte: zero keeps its row
@@ -516,20 +511,19 @@ class Model(_Frozen):
         reductions."""
         if not self.emptied:
             return _free_table(self.frame.n)
-        table, grow, low, folds, full, ones = _alive_filter(self.frame.n)
+        n = self.frame.n
+        table, folds, full, ones = _alive_filter(n)
         alive = (full & ~self.emptied) * ones
         out = array("Q")
         for start in range(0, len(table), LANES):
             run = table[start:start + LANES]
             size = 8 * len(run)
             rows = _from_bytes(run, sys.byteorder)
-            reduced = later = rows & alive
-            for lane, shift in grow:
-                later |= (later & lane) << shift
-            later ^= rows  # nonzero on each lane whose row is not the closure
+            reduced = rows & alive
+            later = _close_up(n, reduced) ^ rows  # nonzero on each lane whose row is not the closure
             for shift in folds:
                 later |= later >> shift
-            keep = later.to_bytes(size, sys.byteorder)[low].translate(_KEEP)
+            keep = later.to_bytes(size, sys.byteorder)[_COLUMNS[0]].translate(_KEEP)
             if 1 in keep:  # most runs of a model with few alive parts keep no row
                 out.extend(compress(memoryview(reduced.to_bytes(size, sys.byteorder)).cast("Q"), keep))
         return out

@@ -17,14 +17,13 @@ conjunctive rule exactly.
 """
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import ValidationError, ZeroSum
 from .lattice import LatticeElement
-from .mass import SubunitarySet, _MassBase
+from .mass import DEFAULT_TOL, SubunitarySet, _MassBase
 from .rules import (
-    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join_plan, _kernel, _prepare, _transfer_plan,
-    _walk,
+    FusionReport, TCONORMS, TNORMS, S3_COMPONENTS, _join_plan, _kernel, _over_one_den, _prepare,
+    _transfer_plan, _walk,
 )
 
 _ONE = SubunitarySet.point(1.0)
@@ -155,7 +154,7 @@ class TripleMass(_MassBase):
     _zero = NeutrosophicTriple.of(0.0, 0.0, 0.0)
     _text = staticmethod(repr)
 
-    def validate(self, tol=1e-9):
+    def validate(self, tol=DEFAULT_TOL):
         problems = []
         for el, trip in self._masses.items():
             if not isinstance(trip, NeutrosophicTriple):
@@ -177,19 +176,19 @@ def _fuse_triples(rule, name, kernel, sources, model, plan, normalize):
     all-zero sums and normalize the rest unless told not to. The reported
     conflict is the truth component of the mass counted as conflict.
 
-    The algebraic N-norm reads each triple as three ints over D, the lcm of
-    the denominators of every component of both sources, so its sums are
-    exact over D * D and each is rounded once, by int true division. The
-    other kernels walk the float points."""
+    The algebraic N-norm reads each triple as three ints over one
+    denominator D, the _over_one_den of every component of both sources, so
+    its sums are exact over D * D and each is rounded once, by int true
+    division. The other kernels walk the float points."""
     model, _ = _prepare(sources, rule, model, TripleMass, exactly=2)
     read, den = NeutrosophicTriple._points, 1
     if name == "nnorm[algebraic]":
-        d = lcm(*[c.as_integer_ratio()[1] for m in sources for _, t in m.items()
-                  for c in t._points()])
-        den = d * d
+        points = [t._points() for m in sources for _, t in m.items()]
+        ints, d = _over_one_den([c for p in points for c in p])
+        exact, den = dict(zip(points, zip(*[iter(ints)] * 3))), d * d
 
         def read(trip):
-            return tuple(n * (d // q) for n, q in map(float.as_integer_ratio, trip._points()))
+            return exact[trip._points()]
     # Exactly two sources, so the kernel always meets two source triples;
     # every focal triple is kept, as a triple is never equal to 0.0.
     acc, conflict, _, _ = _walk(sources, plan(model), lambda a, b: (

@@ -44,7 +44,7 @@ from .decision import bel, bel_pl_tables, gpt, pl  # noqa: F401 - perfbench's tr
 from .errors import DsmError, ParseError, ValidationError
 from .lattice import Frame, LatticeElement, Model, _label_atoms, expressions
 from .mass import (
-    _JOIN_RE, _NUM, ImpreciseMass, PreciseMass, SubunitarySet, _fmt_num, format_set, parse_set,
+    _JOIN_RE, _POINT_RE, ImpreciseMass, PreciseMass, SubunitarySet, _fmt_num, format_set, parse_set,
 )
 from .neutro import NeutrosophicTriple, TripleMass
 
@@ -55,7 +55,6 @@ _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[&|()∩∪])|\S")
 _NOT_LABELS = {"&": "&", "∩": "&", "|": "|", "∪": "|", ")": ")", None: None}
 _MEETS = ("&", "∩")
 _JOINS = ("|", "∪")
-_NUMBER_RE = re.compile(_NUM)
 # a keyword followed by an operator or "=" starts a focal line, not a directive
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b(?!\s*[=&|∩∪])\s*:?")
 # a frame label holding one of these would not read back as written, or
@@ -274,7 +273,7 @@ def _parse_value(value_text, lineno):
         except ValueError:
             raise ParseError(f"bad triple {text!r}", lineno) from None
         return "triple", NeutrosophicTriple.of(t, i, f)
-    if _NUMBER_RE.fullmatch(text):
+    if _POINT_RE.fullmatch(text):
         return "precise", float(text)
     try:
         return "imprecise", parse_set(text)

@@ -905,8 +905,11 @@ def float_columns(draw):
 @given(float_columns())
 @example(array("d"))
 @example(array("d", [-0.0]))
-def test_json_column_prints_each_row_as_json_floats(values):
-    assert list(cli._json_column(values, None)) == list(cli._json_floats(values, None))
+def test_distinct_floats_prints_each_row_as_its_formatter(values):
+    for floats in (cli._json_floats, cli._table_floats):
+        for precision in (None, 0, 6):
+            assert list(cli._distinct_floats(values, floats, precision)) == \
+                list(floats(values, precision))
 
 
 def test_precision_flag(capsys):
