@@ -117,22 +117,25 @@ def _cmd_lattice(args):
     else:
         raise ValidationError(["lattice needs --n or --model"])
     _check_frame_budget(frame, args.max_frame)
-    # the model's reduced alive bitsets, which start with the empty element;
-    # rows print by %, which formats a row faster than str.format does
+    # the model's reduced alive bitsets, which start with the empty element
     bits, out = model.alive_bits(), sys.stdout
-    exprs, cards = expressions(frame.labels, "ascii", bits), map(int.bit_count, bits)
+    cards = map(int.bit_count, bits)
     if args.format == "json":
-        # written as it is produced, matching json.dumps(doc, indent=2)
+        # written as it is produced, matching json.dumps(doc, indent=2): one
+        # join per row over its columns, the expressions already escaped
         out.write("{\n" + ",\n".join(_json_head(frame, model)) + ',\n  "elements": [')
-        row = '%s    {\n      "index": %d,\n      "expression": %s,\n      "cardinality": %d\n    }'
-        out.writelines(map(row.__mod__, zip(chain(["\n"], repeat(",\n")), count(),
-                                            map(_json_str, exprs), cards)))
+        out.writelines(map("".join, zip(
+            chain(['\n    {\n      "index": '], repeat(',\n    {\n      "index": ')),
+            map(str, range(len(bits))), repeat(',\n      "expression": "'),
+            _json_exprs(frame.labels, bits), repeat('",\n      "cardinality": '),
+            map(_CARD_CLOSE.__getitem__, cards))))
         out.write(f'\n  ],\n  "count": {len(bits)}\n}}\n')
         return EXIT_OK
     # the expression column is as wide as the widest row, so every row is
     # rendered once and held until the width is known (7.8 million strings
-    # at six hypotheses)
-    exprs = list(exprs)
+    # at six hypotheses); rows print by %, which pads a row faster than a
+    # join of ljust and a %5d index does
+    exprs = list(expressions(frame.labels, "ascii", bits))
     width = max(max(map(len, exprs)), len("expression"))
     out.write(f"{'index':>5}  {'expression':<{width}}  cardinality\n")
     out.writelines(map(f"%5d  %-{width}s  %d\n".__mod__, zip(count(), exprs, cards)))
@@ -144,10 +147,30 @@ def _cmd_lattice(args):
 # Reports and listings are written row by row with the bytes of
 # json.dumps(doc, indent=2), which with an indent runs json's pure-Python
 # encoder: each nesting level indents two more spaces, strings are
-# ASCII-escaped and floats print as float.__repr__.
+# ASCII-escaped and floats print as float.__repr__. Expression text arrives
+# pre-escaped, rendered over _escaped labels, and each row is one join of
+# its pieces; _json_str is left for labels, rule names, the model kind, set
+# values, warnings and errors.
 
 # the spellings json uses for the floats float.__repr__ prints as nan and inf
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# a listing row's cardinality, at most 63 parts, and the brace closing the row
+_CARD_CLOSE = [f"{c}\n    }}" for c in range(64)]
+
+
+@functools.lru_cache(maxsize=32)
+def _escaped(labels):
+    """A frame's labels as they print inside a JSON string. JSON escapes
+    one character at a time and the ASCII operators need no escape, so an
+    expression over these labels is the raw expression's JSON text less
+    its quotes."""
+    return tuple(_json_str(label)[1:-1] for label in labels)
+
+
+def _json_exprs(labels, bitsets):
+    """The ASCII expression of each bitset, escaped for a JSON string."""
+    return expressions(_escaped(labels), "ascii", bitsets)
 
 
 def _json_floats(values, precision):
@@ -193,17 +216,17 @@ def _json_rows(bitsets, texts, labels, pad, distinct=False):
     canonical expression. As in a dict, a repeated expression keeps its
     first place and its last text; distinct says none repeats, as for a
     model's alive bitsets, and skips that dict."""
-    keys = map(_json_str, expressions(labels, "ascii", bitsets))
+    keys = _json_exprs(labels, bitsets)
     if not distinct:
         rows = dict(zip(keys, texts))
         keys, texts = rows, rows.values()
-    return _json_wrap(list(map(f"{pad}  {{}}: {{}}".format, keys, texts)), pad)
+    return _json_wrap(list(map("".join, zip(repeat(f'{pad}  "'), keys, repeat('": '), texts))), pad)
 
 
 def _json_head(frame, model):
     """The "frame" and "model" members every JSON document opens with."""
-    constraints = _json_strings(expressions(
-        model.frame.labels, "ascii", [c.bits for c in model.constraints]), "    ")
+    constraints = _json_wrap([f'      "{e}"' for e in _json_exprs(
+        model.frame.labels, [c.bits for c in model.constraints])], "    ", "[]")
     model_doc = _json_wrap([f'    "kind": {_json_str(model.kind)}',
                             f'    "constraints": {constraints}'], "  ")
     return [f'  "frame": {_json_strings(frame.labels, "  ")}', f'  "model": {model_doc}']
@@ -233,7 +256,8 @@ def _json_task(r, labels, precision):
         fields.append(f'{pad}"pignistic": {rows}')
     if r.decision is not None:
         inner = pad + "  "
-        decision = [f'{inner}"choice": {_json_str(r.decision.choice.expr(style="ascii"))}',
+        choice = next(_json_exprs(labels, (r.decision.choice.bits,)))
+        decision = [f'{inner}"choice": "{choice}"',
                     f'{inner}"score": {_json_text(r.decision.score, precision, inner)}',
                     f'{inner}"tie": {"true" if r.decision.tie else "false"}']
         fields.append(f'{pad}"decision": {_json_wrap(decision, pad)}')

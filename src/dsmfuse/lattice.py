@@ -26,8 +26,8 @@ parts, in byte columns (_COLUMNS: byte k of every packed bitset is one
 stride of the native bytes), move into (size, mask) rank order by
 bytes.translate, one 256-byte table per input byte k and output byte i,
 ORed as ints, all-zero tables skipped; one map per ranked column picks its
-joined terms. A single bitset takes the same pass: its fixed cost is some
-microseconds per call.
+joined terms, and one join per row concatenates that row's terms. A single
+bitset takes the same pass: its fixed cost is some microseconds per call.
 
 A Model declares which parts are impossible (empty). Reducing an element
 under a model clears its dead parts; two elements are equal under the model
@@ -178,7 +178,8 @@ def expressions(labels, style, bitsets):
     """Yield each bitset's canonical expression over the frame with these
     labels, style "unicode" or "ascii": the union of the intersections its
     minimal parts name, in (size, mask) rank order. Reads CHUNK bitsets at a
-    time and renders each chunk by byte column; see the module docstring."""
+    time and renders each chunk by byte column, one join per row; see the
+    module docstring."""
     union, singles, joined, moves = _terms(tuple(labels), style == "unicode")
     bitsets = iter(bitsets)
     while raw := _minimal_parts(len(labels), array("Q", islice(bitsets, CHUNK))):
@@ -187,7 +188,7 @@ def expressions(labels, style, bitsets):
         for k, i, table in moves:
             ranked[i] |= _from_bytes(minimal[k].translate(table), "little")
         ranked = map(int.to_bytes, ranked, repeat(len(raw) // 8), repeat("little"))
-        rows = reduce(partial(map, add), map(map, joined, ranked))
+        rows = map("".join, zip(*map(map, joined, ranked)))
         yield from map(singles.get, memoryview(raw).cast("Q"),
                        map(getitem, rows, repeat(slice(len(union), None))))
 

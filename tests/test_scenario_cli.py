@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dsmfuse import cli, neutro, rules
 from dsmfuse.decision import DecisionResult, PignisticDistribution
 from dsmfuse.errors import DsmError, ParseError, TotalConflict, ValidationError
-from dsmfuse.lattice import Frame, LatticeElement, Model, dsm_cardinality
+from dsmfuse.lattice import Frame, LatticeElement, Model, _free_table, dsm_cardinality, expressions
 from dsmfuse.mass import ImpreciseMass, PreciseMass, format_set, parse_set
 from dsmfuse.neutro import NeutrosophicTriple, TripleMass
 from dsmfuse.rules import FusionReport
@@ -1306,6 +1306,47 @@ def test_lattice_json_streams_the_dumps_format(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert "\\u00e9&q\\\"x" in out
+
+
+# characters JSON escapes (quote, backslash, controls), one it may leave
+# alone (/), and non-ASCII ones printed as one or two (astral) \u escapes
+ESCAPED_CHARS = ["a", '"', "\\", "/", *map(chr, range(0x20)), "\x7f", "é", "€", "\u2028", "\U0001d51e"]
+
+
+@st.composite
+def escaped_frames(draw):
+    """Labels of 0-4 hypotheses that JSON escapes, and bitsets over them:
+    lattice elements, the empty and one-part bitsets, and any others."""
+    labels = tuple(draw(st.lists(st.text(st.sampled_from(ESCAPED_CHARS), min_size=1, max_size=3),
+                                 max_size=4, unique=True)))
+    parts = (1 << len(labels)) - 1
+    bitsets = st.one_of(st.sampled_from(list(_free_table(len(labels)))),
+                        st.sampled_from([0, *(1 << p for p in range(parts))]),
+                        st.integers(0, (1 << parts) - 1))
+    return labels, draw(st.lists(bitsets, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(escaped_frames())
+def test_expressions_over_escaped_labels_are_escaped_expressions(frame):
+    # the JSON writers render expressions over pre-escaped labels and add
+    # the quotes themselves; json.dumps of the raw row is _json_str of it
+    labels, bitsets = frame
+    assert ['"' + e + '"' for e in cli._json_exprs(labels, bitsets)] == \
+        list(map(json.dumps, expressions(labels, "ascii", bitsets)))
+
+
+def test_lattice_json_listing_escapes_json_scenario_labels(tmp_path, capsys):
+    labels = ["a\u0001", "\U0001d51e"]
+    doc = tmp_path / "labels.json"
+    doc.write_text(json.dumps({"frame": labels, "model": {"kind": "free"}}))
+    assert cli.main(["lattice", "--model", str(doc), "--format", "json"]) == 0
+    frame = Frame(tuple(labels))
+    rows = [{"index": i, "expression": LatticeElement(frame, b).expr(style="ascii"),
+             "cardinality": b.bit_count()} for i, b in enumerate(Model.free(frame).alive_bits())]
+    want = {"frame": labels, "model": {"kind": "free", "constraints": []},
+            "elements": rows, "count": len(rows)}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 def two_pass_table(model):
