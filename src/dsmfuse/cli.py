@@ -122,12 +122,12 @@ def _cmd_lattice(args):
     cards = map(int.bit_count, bits)
     if args.format == "json":
         # written as it is produced, matching json.dumps(doc, indent=2): one
-        # join per row over its columns, the expressions already escaped
+        # join per row over its columns
         out.write("{\n" + ",\n".join(_json_head(frame, model)) + ',\n  "elements": [')
         out.writelines(map("".join, zip(
             chain(['\n    {\n      "index": '], repeat(',\n    {\n      "index": ')),
             map(str, range(len(bits))), repeat(',\n      "expression": "'),
-            _json_exprs(frame.labels, bits), repeat('",\n      "cardinality": '),
+            expressions(frame.labels, "ascii", bits), repeat('",\n      "cardinality": '),
             map(_CARD_CLOSE.__getitem__, cards))))
         out.write(f'\n  ],\n  "count": {len(bits)}\n}}\n')
         return EXIT_OK
@@ -147,30 +147,18 @@ def _cmd_lattice(args):
 # Reports and listings are written row by row with the bytes of
 # json.dumps(doc, indent=2), which with an indent runs json's pure-Python
 # encoder: each nesting level indents two more spaces, strings are
-# ASCII-escaped and floats print as float.__repr__. Expression text arrives
-# pre-escaped, rendered over _escaped labels, and each row is one join of
-# its pieces; _json_str is left for labels, rule names, the model kind, set
-# values, warnings and errors.
+# ASCII-escaped and floats print as float.__repr__. Every frame rendered
+# here came from _build_scenario or from --n (th1..thN), so its labels are
+# ASCII identifiers and an expression over them, joined by & | ( ) or {},
+# is its own JSON string text; each row is one join of its pieces.
+# _json_str is left for labels, rule names, the model kind, set values,
+# warnings and errors.
 
 # the spellings json uses for the floats float.__repr__ prints as nan and inf
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # a listing row's cardinality, at most 63 parts, and the brace closing the row
 _CARD_CLOSE = [f"{c}\n    }}" for c in range(64)]
-
-
-@functools.lru_cache(maxsize=32)
-def _escaped(labels):
-    """A frame's labels as they print inside a JSON string. JSON escapes
-    one character at a time and the ASCII operators need no escape, so an
-    expression over these labels is the raw expression's JSON text less
-    its quotes."""
-    return tuple(_json_str(label)[1:-1] for label in labels)
-
-
-def _json_exprs(labels, bitsets):
-    """The ASCII expression of each bitset, escaped for a JSON string."""
-    return expressions(_escaped(labels), "ascii", bitsets)
 
 
 def _json_floats(values, precision):
@@ -202,7 +190,7 @@ def _json_wrap(rows, pad, brackets="{}"):
     array closed at indent pad."""
     if not rows:
         return brackets
-    return brackets[0] + "\n" + ",\n".join(rows) + "\n" + pad + brackets[1]
+    return "".join((brackets[0], "\n", ",\n".join(rows), "\n", pad, brackets[1]))
 
 
 def _json_strings(strings, pad):
@@ -216,7 +204,7 @@ def _json_rows(bitsets, texts, labels, pad, distinct=False):
     canonical expression. As in a dict, a repeated expression keeps its
     first place and its last text; distinct says none repeats, as for a
     model's alive bitsets, and skips that dict."""
-    keys = _json_exprs(labels, bitsets)
+    keys = expressions(labels, "ascii", bitsets)
     if not distinct:
         rows = dict(zip(keys, texts))
         keys, texts = rows, rows.values()
@@ -225,8 +213,8 @@ def _json_rows(bitsets, texts, labels, pad, distinct=False):
 
 def _json_head(frame, model):
     """The "frame" and "model" members every JSON document opens with."""
-    constraints = _json_wrap([f'      "{e}"' for e in _json_exprs(
-        model.frame.labels, [c.bits for c in model.constraints])], "    ", "[]")
+    constraints = _json_wrap([f'      "{e}"' for e in expressions(
+        model.frame.labels, "ascii", [c.bits for c in model.constraints])], "    ", "[]")
     model_doc = _json_wrap([f'    "kind": {_json_str(model.kind)}',
                             f'    "constraints": {constraints}'], "  ")
     return [f'  "frame": {_json_strings(frame.labels, "  ")}', f'  "model": {model_doc}']
@@ -256,7 +244,7 @@ def _json_task(r, labels, precision):
         fields.append(f'{pad}"pignistic": {rows}')
     if r.decision is not None:
         inner = pad + "  "
-        choice = next(_json_exprs(labels, (r.decision.choice.bits,)))
+        choice = next(expressions(labels, "ascii", (r.decision.choice.bits,)))
         decision = [f'{inner}"choice": "{choice}"',
                     f'{inner}"score": {_json_text(r.decision.score, precision, inner)}',
                     f'{inner}"tie": {"true" if r.decision.tie else "false"}']

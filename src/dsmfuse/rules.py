@@ -76,7 +76,7 @@ from the same int keys.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, attrgetter, mul, or_
+from operator import add, and_, attrgetter, or_
 
 from .errors import (
     DegenerateNormalization,
@@ -150,7 +150,7 @@ def _focal_items(m):
     return [(el, v) for el, v in m.items() if v != 0.0]
 
 
-def _walk(sources, plan, kernel=mul, add=add, zero=0.0, read=None):
+def _walk(sources, plan, kernel, add=add, zero=0.0, read=None):
     """Sum every focal tuple's value on its landing site, source by source,
     under the value algebra kernel, add, zero and read (None keeps a value).
 

@@ -20,7 +20,8 @@ tuples a triple mass. Focal elements use the expression grammar
     factor := label | "(" expr ")"
 
 with "&" (or "∩") meaning intersection and "|" (or "∪") union. A label is
-[A-Za-z_][A-Za-z0-9_]*, and whitespace between tokens is ignored;
+[A-Za-z_][A-Za-z0-9_]*, and a frame label that is not one is refused, since
+no expression could name it. Whitespace between tokens is ignored;
 parse_element reads an expression in one pass, stacking open parentheses. A
 parenthesized value with two commas is a triple unless a "u" joins it to
 another piece. A task line takes "decide" and the norm=... and s3=...
@@ -48,18 +49,17 @@ from .mass import (
 )
 from .neutro import NeutrosophicTriple, TripleMass
 
+# the one label grammar: a frame takes only the labels an expression can name
+_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # one match per token: group 1 is the label or operator, "" for any other
 # non-space character
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[&|()∩∪])|\S")
+_TOKEN_RE = re.compile(rf"({_LABEL_RE.pattern}|[&|()∩∪])|\S")
 # tokens that are not labels, with their spelling in error messages
 _NOT_LABELS = {"&": "&", "∩": "&", "|": "|", "∪": "|", ")": ")", None: None}
 _MEETS = ("&", "∩")
 _JOINS = ("|", "∪")
 # a keyword followed by an operator or "=" starts a focal line, not a directive
 _SECTION_RE = re.compile(r"^(frame|model|constraint|source|task)\b(?!\s*[=&|∩∪])\s*:?")
-# a frame label holding one of these would not read back as written, or
-# would print like an expression over other labels or like the empty element
-_BAD_LABEL_RE = re.compile(r"[\s,#&|()∩∪{}∅]")
 
 # deepest parenthesis nesting parse_element accepts: it bounds its parenthesis stack
 MAX_NESTING = 100
@@ -207,11 +207,10 @@ def _build_scenario(frame_labels, model_kind, constraint_specs, source_specs, ta
         frame = Frame(tuple(frame_labels))
     except ValueError as exc:
         raise ValidationError([str(exc)]) from None
-    # emit_scenario writes labels and names verbatim; refuse what would read back changed
-    bad = next(filter(_BAD_LABEL_RE.search, frame.labels), None)
+    bad = next((label for label in frame.labels if not _LABEL_RE.fullmatch(label)), None)
     if bad is not None:
-        raise ValidationError(
-            [f"hypothesis label {bad!r} holds whitespace or one of , # & | ( ) ∩ ∪ {{ }} ∅"])
+        raise ValidationError([f"hypothesis label {bad!r} must be a letter or _ followed by"
+                               " letters, digits or _"])
 
     model_kind = model_kind or "free"
     if model_kind not in ("free", "shafer", "hybrid"):

@@ -2,7 +2,8 @@
 
 Each example takes a bundled text scenario or a JSON scenario, applies a few
 random edits to its text and runs `dsmfuse fuse` (plain, --compare, --decide,
---format json or --rule dempster) or `dsmfuse lattice --model` on it. Whatever the damage,
+--format json, --rule dempster, or --decide --format json --precision full)
+or `dsmfuse lattice --model`, in table or JSON form, on it. Whatever the damage,
 the run ends with an exit code of the CLI's contract and no exception but a
 DsmError leaves cli.main.
 """
@@ -44,7 +45,9 @@ COMMANDS = [
     ["fuse", "--decide"],
     ["fuse", "--format", "json"],
     ["fuse", "--rule", "dempster"],
+    ["fuse", "--decide", "--format", "json", "--precision", "full"],
     ["lattice", "--model"],
+    ["lattice", "--format", "json", "--model"],
 ]
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 from array import array
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from dsmfuse import cli, neutro, rules
 from dsmfuse.decision import DecisionResult, PignisticDistribution
 from dsmfuse.errors import DsmError, ParseError, TotalConflict, ValidationError
-from dsmfuse.lattice import Frame, LatticeElement, Model, _free_table, dsm_cardinality, expressions
+from dsmfuse.lattice import Frame, LatticeElement, Model, dsm_cardinality
 from dsmfuse.mass import ImpreciseMass, PreciseMass, format_set, parse_set
 from dsmfuse.neutro import NeutrosophicTriple, TripleMass
 from dsmfuse.rules import FusionReport
@@ -444,14 +445,17 @@ def two_source_doc(frame, name):
     (["a b", "c"], "m1"), (["a,b", "c"], "m1"), (["a#", "c"], "m1"), (["a\u2028b", "c"], "m1"),
     (["c&d", "a", "b"], "m1"), (["b|c", "a"], "m1"), (["(a)", "b"], "m1"), (["a∩b", "c"], "m1"),
     (["a∪b", "c"], "m1"), (["{}", "a"], "m1"), (["∅", "a"], "m1"),
+    (["é", "a"], "m1"), (["b-1", "a"], "m1"), (['q"x', "a"], "m1"), (["1a", "b"], "m1"),
 ], ids=["hash", "trailing_colon", "leading_space", "trailing_space", "u2028", "newline", "nel",
         "leading_colon", "leading_equals", "leading_bar", "empty", "label_space", "label_comma",
         "label_hash", "label_u2028", "label_meet", "label_join", "label_parens", "label_cap",
-        "label_cup", "label_braces", "label_empty_set"])
+        "label_cup", "label_braces", "label_empty_set", "label_non_ascii", "label_hyphen",
+        "label_quote", "label_leading_digit"])
 def test_names_and_labels_that_would_read_back_changed_are_refused(frame, name, tmp_path,
                                                                   capsys):
-    """emit_scenario writes names and labels verbatim, so any that
-    parse_scenario would read back as something else are refused."""
+    """emit_scenario writes names verbatim, so any that parse_scenario
+    would read back as something else are refused; a label no expression
+    can name is refused too."""
     doc = two_source_doc(frame, name)
     with pytest.raises(ValidationError):
         from_json_dict(doc)
@@ -463,6 +467,23 @@ def test_names_and_labels_that_would_read_back_changed_are_refused(frame, name, 
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+# ASCII letters, digits and _, which a label may hold, and characters it
+# may not: a hyphen, a quote, non-ASCII letters, the operators and separators
+LABEL_CHARS = string.ascii_letters + string.digits + '_-"éθ&|()∩∪{}∅ ,#'
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.sampled_from(LABEL_CHARS), max_size=4), max_size=4))
+@example(["é", "a"])
+def test_every_label_a_frame_takes_is_one_an_expression_names(labels):
+    try:
+        frame = from_json_dict({"frame": labels}).frame
+    except ValidationError:
+        return
+    for label in labels:
+        assert parse_element(frame, label) == frame.atom_by_label(label)
+
+
 def test_a_text_frame_label_that_prints_as_a_meet_is_refused(tmp_path, capsys):
     """With a label c&d, decision rows such as a&c&d would read as meets of
     other labels."""
@@ -472,8 +493,8 @@ def test_a_text_frame_label_that_prints_as_a_meet_is_refused(tmp_path, capsys):
     assert cli.main(["fuse", "--scenario", str(path), "--decide"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: hypothesis label 'c&d' holds whitespace or one of"
-                            " , # & | ( ) ∩ ∪ { } ∅\n")
+    assert captured.err == ("error: hypothesis label 'c&d' must be a letter or _ followed by"
+                            " letters, digits or _\n")
 
 
 def test_json_document_equivalent():
@@ -838,10 +859,10 @@ def ref_render_json(scenario, results, precision):
 
 @st.composite
 def fuse_reports(draw):
-    """A scenario and its task results: escaped labels and messages, empty
-    maps, error entries, decisions, set and triple values, NaN and
-    infinite floats."""
-    labels = draw(st.lists(st.sampled_from(["a", "é", 'q"x', "b_1", "\\"]),
+    """A scenario and its task results: identifier labels, escaped rule
+    names and messages, empty maps, error entries, decisions, set and
+    triple values, NaN and infinite floats."""
+    labels = draw(st.lists(st.sampled_from(["a", "_", "b_1", "Th2", "task"]),
                            min_size=1, max_size=3, unique=True))
     frame = Frame(tuple(labels))
     kind = draw(st.sampled_from(["free", "shafer", "hybrid"]))
@@ -1286,13 +1307,13 @@ def test_lattice_json_and_errors(capsys):
 
 def listing_models(tmp_path):
     """Scenario files for the listing tests: a hybrid model and a frame
-    whose labels need JSON escaping."""
+    of keyword labels."""
     hybrid = tmp_path / "hybrid.dsm"
     hybrid.write_text("frame: a b c d\nmodel: hybrid\nconstraint: a & b = 0\n"
                       "constraint: c & (a | d) = 0\n")
-    escaped = tmp_path / "escaped.dsm"
-    escaped.write_text('frame: é q"x b\nmodel: free\n', encoding="utf-8")
-    return [fixture("vacuous_pignistic.dsm"), str(hybrid), str(escaped)]
+    keywords = tmp_path / "keywords.dsm"
+    keywords.write_text("frame: task source model\nmodel: free\n")
+    return [fixture("vacuous_pignistic.dsm"), str(hybrid), str(keywords)]
 
 
 def test_lattice_json_streams_the_dumps_format(tmp_path, capsys):
@@ -1305,48 +1326,16 @@ def test_lattice_json_streams_the_dumps_format(tmp_path, capsys):
         assert cli.main(argv + ["--format", "json"]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    assert "\\u00e9&q\\\"x" in out
 
 
-# characters JSON escapes (quote, backslash, controls), one it may leave
-# alone (/), and non-ASCII ones printed as one or two (astral) \u escapes
-ESCAPED_CHARS = ["a", '"', "\\", "/", *map(chr, range(0x20)), "\x7f", "é", "€", "\u2028", "\U0001d51e"]
-
-
-@st.composite
-def escaped_frames(draw):
-    """Labels of 0-4 hypotheses that JSON escapes, and bitsets over them:
-    lattice elements, the empty and one-part bitsets, and any others."""
-    labels = tuple(draw(st.lists(st.text(st.sampled_from(ESCAPED_CHARS), min_size=1, max_size=3),
-                                 max_size=4, unique=True)))
-    parts = (1 << len(labels)) - 1
-    bitsets = st.one_of(st.sampled_from(list(_free_table(len(labels)))),
-                        st.sampled_from([0, *(1 << p for p in range(parts))]),
-                        st.integers(0, (1 << parts) - 1))
-    return labels, draw(st.lists(bitsets, max_size=12))
-
-
-@settings(max_examples=300, deadline=None)
-@given(escaped_frames())
-def test_expressions_over_escaped_labels_are_escaped_expressions(frame):
-    # the JSON writers render expressions over pre-escaped labels and add
-    # the quotes themselves; json.dumps of the raw row is _json_str of it
-    labels, bitsets = frame
-    assert ['"' + e + '"' for e in cli._json_exprs(labels, bitsets)] == \
-        list(map(json.dumps, expressions(labels, "ascii", bitsets)))
-
-
-def test_lattice_json_listing_escapes_json_scenario_labels(tmp_path, capsys):
-    labels = ["a\u0001", "\U0001d51e"]
+def test_lattice_json_listing_refuses_a_label_no_expression_names(tmp_path, capsys):
     doc = tmp_path / "labels.json"
-    doc.write_text(json.dumps({"frame": labels, "model": {"kind": "free"}}))
-    assert cli.main(["lattice", "--model", str(doc), "--format", "json"]) == 0
-    frame = Frame(tuple(labels))
-    rows = [{"index": i, "expression": LatticeElement(frame, b).expr(style="ascii"),
-             "cardinality": b.bit_count()} for i, b in enumerate(Model.free(frame).alive_bits())]
-    want = {"frame": labels, "model": {"kind": "free", "constraints": []},
-            "elements": rows, "count": len(rows)}
-    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+    doc.write_text(json.dumps({"frame": ["a\u0001", "\U0001d51e"], "model": {"kind": "free"}}))
+    assert cli.main(["lattice", "--model", str(doc), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hypothesis label 'a\\x01' ")
+    assert captured.err.count("\n") == 1
 
 
 def two_pass_table(model):
